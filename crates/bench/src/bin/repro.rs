@@ -211,10 +211,8 @@ fn print_help() {
         ule_dse::spaces::BUILTIN_NAMES.join("|")
     );
     println!("                      a path to a JSON space file (see DESIGN.md \u{a7}12)");
-    println!("  --strategy grid|greedy");
-    println!("                      exhaustive grid (default) or frontier-guided pruner");
-    println!("  --seed S            schedule seed for greedy: hex, decimal, or any");
-    println!("                      token (hashed deterministically; default 0xULE)");
+    println!("  --seed S            campaign seed recorded in the journal: hex, decimal,");
+    println!("                      or any token (hashed deterministically; default 0xULE)");
     println!("  --out PATH          resumable JSONL journal: design_point lines are");
     println!("                      appended as points finish, frontier + dse_summary");
     println!("                      records close the file; an existing journal at PATH");
@@ -777,7 +775,7 @@ fn run_overhead(args: impl Iterator<Item = String>) -> ! {
 /// records plus — behind `--sla-out` — `serve_latency`/`sla_summary`
 /// latency records (schema v5). Exit 1 iff any batch verdict disagreed
 /// with `verify_prehashed`.
-fn run_serve(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
+fn run_serve(args: impl Iterator<Item = String>, mut obs: ObsOptions) -> ! {
     let mut curves: Vec<ule_curves::params::CurveId> = Vec::new();
     let mut batch_sizes: Vec<usize> = Vec::new();
     let mut shards = 4usize;
@@ -869,6 +867,8 @@ fn run_serve(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
             "--trace-events" => {
                 trace_events_path = Some(PathBuf::from(take(&mut i, "--trace-events")))
             }
+            "--progress" => obs.progress = Some(true),
+            "--no-progress" => obs.progress = Some(false),
             other => {
                 eprintln!("unknown serve option {other:?}");
                 std::process::exit(2);
@@ -1275,7 +1275,6 @@ fn run_verify(args: impl Iterator<Item = String>, mut obs: ObsOptions) -> ! {
 /// existing journal instead.
 fn run_explore(args: impl Iterator<Item = String>, mut obs: ObsOptions) -> ! {
     let mut space_arg: Option<String> = None;
-    let mut strategy_arg = String::from("grid");
     let mut seed = ule_verify::parse_seed("0xULE");
     let mut out: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
@@ -1295,7 +1294,6 @@ fn run_explore(args: impl Iterator<Item = String>, mut obs: ObsOptions) -> ! {
     while i < args_v.len() {
         match args_v[i].as_str() {
             "--space" => space_arg = Some(take(&mut i, &args_v, "--space")),
-            "--strategy" => strategy_arg = take(&mut i, &args_v, "--strategy"),
             "--seed" => seed = ule_verify::parse_seed(&take(&mut i, &args_v, "--seed")),
             "--out" => out = Some(PathBuf::from(take(&mut i, &args_v, "--out"))),
             "--threads" => {
@@ -1373,34 +1371,32 @@ fn run_explore(args: impl Iterator<Item = String>, mut obs: ObsOptions) -> ! {
             })
         }
     };
-    let mut strategy: Box<dyn ule_dse::Strategy> = match strategy_arg.as_str() {
-        "grid" => Box::new(ule_dse::Grid::new()),
-        "greedy" => Box::new(ule_dse::Greedy::new(seed)),
-        other => {
-            eprintln!("--strategy expects `grid` or `greedy`, got {other:?}");
-            std::process::exit(2);
-        }
-    };
     obs.install();
     if obs.progress_on() {
         ule_obs::progress::start("repro explore");
     }
-    let outcome = ule_dse::explore(&engine, &space, strategy.as_mut(), seed, out.as_deref())
-        .unwrap_or_else(|e| {
-            eprintln!("explore: {e}");
-            std::process::exit(1);
-        });
+    let outcome = ule_dse::explore(
+        &engine,
+        &space,
+        &mut ule_dse::Grid::new(),
+        seed,
+        out.as_deref(),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("explore: {e}");
+        std::process::exit(1);
+    });
     ule_obs::progress::finish();
     println!(
-        "space {} ({}): {} lattice points, {} pruned, {} evaluated \
-         ({} resumed, {} simulated), frontier {}",
+        "space {} ({}): {} lattice points, {} evaluated ({} resumed, {} new), \
+         {} engine simulations, frontier {}",
         outcome.space,
         ule_core::metrics::workload_key(outcome.workload),
         outcome.lattice_points,
-        outcome.pruned,
         outcome.evaluated,
         outcome.resumed,
         outcome.simulated,
+        engine.simulations(),
         outcome.frontier.len()
     );
     if let Some(path) = &out {

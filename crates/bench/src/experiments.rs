@@ -596,7 +596,10 @@ pub fn s7_8(r: &SweepEngine) -> String {
         (MultVariant::OperandScan, "operand-scan multi-cycle"),
         (MultVariant::Parallel, "parallel pipelined"),
     ] {
-        let rep = r.sv_mult_variant(CurveId::P192, v);
+        let rep = r.run(
+            SystemConfig::new(CurveId::P192, Arch::Baseline).with_mult_variant(v),
+            Workload::SignVerify,
+        );
         let (d, s) = rep.energy.power_mw();
         let _ = writeln!(
             out,

@@ -1,5 +1,5 @@
-//! The thread-safe sweep engine: every (configuration, workload) pair
-//! is simulated at most once per engine, concurrently callable from any
+//! The thread-safe sweep engine: every (sim point, workload) pair is
+//! simulated at most once per engine, concurrently callable from any
 //! number of threads, with a scoped-thread fan-out for batch sweeps.
 //!
 //! This replaced the old single-threaded `Rc`-based `Runner` (since
@@ -12,8 +12,14 @@
 //! same point never simulate it twice; the second blocks until the
 //! first publishes.
 //!
+//! The memo is keyed by [`sim_point`]: configurations that differ only
+//! in energy-only knobs (gating, §7.8 multiplier variant, SRAM register
+//! file) share one simulation, and each request gets that simulation
+//! repriced for its own configuration ([`RunReport::priced_for`]).
+//!
 //! Determinism: a simulation is a pure function of its
-//! `(SystemConfig, Workload)` key, so every energy/cycle number is
+//! `(sim point, Workload)` key and pricing a pure function of the
+//! report and configuration, so every energy/cycle number is
 //! independent of thread count and submission order — parallel sweeps
 //! are bit-for-bit equal to serial ones.
 //!
@@ -38,6 +44,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+use ule_core::space::sim_point;
 use ule_core::{MultVariant, RunOptions, RunReport, System, SystemConfig, Workload};
 use ule_curves::params::CurveId;
 use ule_monte::MonteConfig;
@@ -47,15 +54,13 @@ use ule_swlib::builder::Arch;
 /// One design point plus the workload to run on it — a batch job.
 pub type Job = (SystemConfig, Workload);
 
-/// Typed memo-cache key: one (configuration, workload) pair.
+/// Typed key: one (configuration, workload) pair.
 ///
 /// `Hash`/`Eq` are derived straight from [`SystemConfig`] and
-/// [`Workload`], so every knob (curve, arch, icache tuple, Monte
-/// front-end, Billie digit, multiplier variant, gating, SRAM register
-/// file) participates — two keys are equal exactly when the simulated
-/// points are identical. This replaces both the old stringly
-/// `format!`-based system key and the hand-maintained ad-hoc `Key`
-/// struct, which silently dropped any knob nobody remembered to add.
+/// [`Workload`], so every knob participates — two keys are equal
+/// exactly when the requested points are identical. The engine's memo
+/// uses the key of a request's [`sim_point`], so requests that differ
+/// only in energy-only knobs share one simulation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ConfigKey {
     /// The design point.
@@ -187,12 +192,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// from a scope). See the [module docs](self) for the caching and
 /// determinism contract.
 pub struct SweepEngine {
-    /// Sharded report memo — `SHARDS` independent locks so unrelated
-    /// points never contend.
+    /// Sharded report memo, keyed by sim point — `SHARDS` independent
+    /// locks so unrelated points never contend.
     shards: Vec<Mutex<HashMap<ConfigKey, Slot>>>,
-    /// Built systems, shared across the workloads of one configuration
-    /// (`System::run` takes `&self`, so concurrent runs share one
-    /// program image).
+    /// Built systems by sim point, shared across the workloads and
+    /// overlays of one simulated configuration (`System::run` takes
+    /// `&self`, so concurrent runs share one program image).
     systems: Mutex<HashMap<SystemConfig, Arc<System>>>,
     threads: usize,
     simulations: AtomicU64,
@@ -202,7 +207,7 @@ pub struct SweepEngine {
     /// Engine construction time — the zero point of job-span starts.
     epoch: Instant,
     /// One span per cold simulation, in cold-run completion order
-    /// (memo hits don't append).
+    /// (memo hits and reprices don't append).
     spans: Mutex<Vec<JobSpan>>,
 }
 
@@ -210,7 +215,8 @@ pub struct SweepEngine {
 /// construction — the harness-level track of the merged trace export.
 #[derive(Clone, Debug)]
 pub struct JobSpan {
-    /// The simulated point.
+    /// The request that triggered the simulation (the simulated point
+    /// is its [`sim_point`]).
     pub key: ConfigKey,
     /// Start offset from engine construction.
     pub start: Duration,
@@ -226,7 +232,8 @@ pub struct JobSpan {
 pub struct EngineStats {
     /// Total `run` calls (batch jobs included).
     pub requests: u64,
-    /// Requests answered from the finished-report memo.
+    /// Requests answered from the finished-report memo, including
+    /// requests repriced from another overlay's simulation.
     pub memo_hits: u64,
     /// Requests that blocked on another thread's in-flight simulation.
     pub inflight_waits: u64,
@@ -291,8 +298,9 @@ impl SweepEngine {
     }
 
     /// Number of cold simulations executed so far (memo misses). Memo
-    /// and in-flight hits don't count — the difference between this and
-    /// the number of requests is what the cache saved.
+    /// and in-flight hits — reprices included — don't count: the
+    /// difference between this and the number of requests is what the
+    /// cache saved.
     pub fn simulations(&self) -> u64 {
         self.simulations.load(Ordering::Relaxed)
     }
@@ -308,8 +316,9 @@ impl SweepEngine {
     }
 
     /// Wall-clock of every cold simulation so far, `(key, duration)`,
-    /// in cold-run completion order. Memo/in-flight hits don't appear —
-    /// a key occurs at most once.
+    /// in cold-run completion order, keyed by the triggering request.
+    /// Memo/in-flight hits don't appear — a sim point occurs at most
+    /// once.
     pub fn job_timings(&self) -> Vec<(ConfigKey, Duration)> {
         lock(&self.spans).iter().map(|s| (s.key, s.wall)).collect()
     }
@@ -321,7 +330,7 @@ impl SweepEngine {
         lock(&self.spans).clone()
     }
 
-    /// The shared built system for one configuration.
+    /// The shared built system for one sim point.
     fn system(&self, config: SystemConfig) -> Arc<System> {
         if let Some(s) = lock(&self.systems).get(&config) {
             return s.clone();
@@ -335,24 +344,29 @@ impl SweepEngine {
 
     /// Runs (or recalls) one workload on one configuration.
     ///
-    /// Concurrent calls with the same key return the *same*
-    /// `Arc<RunReport>`; at most one of them simulates.
+    /// At most one call per (sim point, workload) simulates; the rest
+    /// reuse its report. Concurrent calls with the same sim-point
+    /// configuration return the *same* `Arc<RunReport>`; a request that
+    /// differs in energy-only knobs gets that report repriced.
     pub fn run(&self, config: SystemConfig, workload: Workload) -> Arc<RunReport> {
         let key = ConfigKey::new(config, workload);
+        let sim = ConfigKey::new(sim_point(config), workload);
         self.requests.fetch_add(1, Ordering::Relaxed);
         // Progress hooks are process-global no-ops unless the CLI
         // started a reporter; token 0 makes `job_done` a no-op too.
         let progress = ule_obs::progress::job_started(&key.label());
-        let shard = &self.shards[key.shard()];
+        let shard = &self.shards[sim.shard()];
         let flight = {
             let mut map = lock(shard);
-            match map.get(&key) {
+            match map.get(&sim) {
                 Some(Slot::Done(r)) => {
+                    let r = r.clone();
+                    drop(map);
                     self.memo_hits.fetch_add(1, Ordering::Relaxed);
                     ule_obs::obs_event!("sweep.memo_hit", job = key.label());
                     ule_obs::progress::memo_hit();
                     ule_obs::progress::job_done(progress);
-                    return r.clone();
+                    return priced(config, r);
                 }
                 Some(Slot::InFlight(f)) => {
                     let f = f.clone();
@@ -361,11 +375,11 @@ impl SweepEngine {
                     ule_obs::obs_event!("sweep.inflight_wait", job = key.label());
                     let report = f.wait();
                     ule_obs::progress::job_done(progress);
-                    return report;
+                    return priced(config, report);
                 }
                 None => {
                     let f = InFlight::new();
-                    map.insert(key, Slot::InFlight(f.clone()));
+                    map.insert(sim, Slot::InFlight(f.clone()));
                     f
                 }
             }
@@ -375,12 +389,12 @@ impl SweepEngine {
         // and retries see the failure rather than deadlocking.
         let mut guard = FlightGuard {
             engine: self,
-            key,
+            key: sim,
             flight: &flight,
             armed: true,
         };
         let started = Instant::now();
-        let sys = self.system(config);
+        let sys = self.system(sim.config);
         let report = Arc::new(sys.run_with(RunOptions::new(workload)));
         let wall = started.elapsed();
         self.simulations.fetch_add(1, Ordering::Relaxed);
@@ -400,10 +414,10 @@ impl SweepEngine {
             cycles = report.cycles,
         );
         guard.armed = false; // infallible from here on
-        lock(shard).insert(key, Slot::Done(report.clone()));
+        lock(shard).insert(sim, Slot::Done(report.clone()));
         flight.publish(FlightState::Ready(report.clone()));
         ule_obs::progress::job_done(progress);
-        report
+        priced(config, report)
     }
 
     /// Fans `jobs` out across a scoped thread pool and returns their
@@ -527,22 +541,16 @@ impl SweepEngine {
             Workload::ScalarMul,
         )
     }
+}
 
-    /// Baseline with a §7.8 multiplier power variant (timing identical).
-    pub fn sv_mult_variant(&self, curve: CurveId, variant: MultVariant) -> RunReport {
-        // Variants share cycles; recompute energy with the variant's
-        // factor (single source: `MultVariant::factor`).
-        let base = self.sv(curve, Arch::Baseline);
-        let mut activity = base.activity;
-        activity.mult_variant_factor = variant.factor();
-        RunReport {
-            cycles: base.cycles,
-            counters: base.counters,
-            raw: base.raw,
-            activity,
-            energy: ule_energy::report::energy(&activity),
-            profile: base.profile.clone(),
-        }
+/// `report` — simulated at `config`'s sim point — as `config`'s report:
+/// the cached `Arc` itself when `config` is the sim point, otherwise a
+/// reprice under `config`'s energy-only knobs.
+fn priced(config: SystemConfig, report: Arc<RunReport>) -> Arc<RunReport> {
+    if config == sim_point(config) {
+        report
+    } else {
+        Arc::new(report.priced_for(&config))
     }
 }
 

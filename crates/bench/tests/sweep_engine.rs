@@ -255,15 +255,21 @@ fn mult_variant_factor_is_single_sourced() {
     // `factor()`: Karatsuba (factor 1.0) reproduces the baseline report
     // exactly, and the costlier variants scale monotonically with it.
     let engine = SweepEngine::new();
+    let variant = |v| {
+        engine.run(
+            SystemConfig::new(CurveId::P192, Arch::Baseline).with_mult_variant(v),
+            Workload::SignVerify,
+        )
+    };
     let base = engine.sv(CurveId::P192, Arch::Baseline);
-    let kara = engine.sv_mult_variant(CurveId::P192, MultVariant::Karatsuba);
+    let kara = variant(MultVariant::Karatsuba);
     assert_eq!(kara.cycles, base.cycles);
     assert_eq!(kara.energy.total_uj(), base.energy.total_uj());
 
     let mut last = base.energy.total_uj();
     let mut last_factor = MultVariant::Karatsuba.factor();
     for v in [MultVariant::OperandScan, MultVariant::Parallel] {
-        let r = engine.sv_mult_variant(CurveId::P192, v);
+        let r = variant(v);
         assert_eq!(r.cycles, base.cycles, "§7.8 variants are timing-neutral");
         assert!(v.factor() > last_factor, "{v:?}: factor must increase");
         assert!(

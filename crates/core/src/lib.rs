@@ -447,6 +447,21 @@ impl RunReport {
     pub fn energy_uj(&self) -> f64 {
         self.energy.total_uj()
     }
+
+    /// This run's counters priced for `config` — the report a fresh
+    /// `System::new(*config)` run would return, provided `config` has
+    /// the same [`space::sim_point`] as the configuration simulated.
+    /// Only the energy-only knobs (gating, multiplier variant, SRAM
+    /// register file) may differ; counters, raw statistics and the
+    /// profile carry over unchanged.
+    pub fn priced_for(&self, config: &SystemConfig) -> RunReport {
+        RunAccum {
+            counters: self.counters,
+            raw: self.raw,
+            profile: self.profile.clone(),
+        }
+        .finish(config)
+    }
 }
 
 /// A built system: curve context + program image + configuration.
@@ -591,10 +606,10 @@ impl System {
                         .absorb(&p, &format!("{}:", pair.name()));
                 }
             }
-            return total.finish(self);
+            return total.finish(&self.config);
         }
         self.accum_ecdsa(workload, profile, tier, &mut total);
-        total.finish(self)
+        total.finish(&self.config)
     }
 
     /// One full Montgomery ladder (`main_xdh`) with deterministic
@@ -829,7 +844,11 @@ impl RunAccum {
         }
     }
 
-    fn finish(self, sys: &System) -> RunReport {
+    /// Energy pricing: the activity record and per-component energy of
+    /// the accumulated counters on `config`. A pure function of
+    /// `(config, counters, raw)`, shared by a fresh run and a
+    /// [`RunReport::priced_for`] reprice so the two agree bit for bit.
+    fn finish(self, config: &SystemConfig) -> RunReport {
         let _sp = ule_obs::span("sys.energy");
         let cycles = self.counters.cycles;
         let raw = self.raw;
@@ -838,17 +857,17 @@ impl RunAccum {
             busy_cycles: cycles.saturating_sub(self.counters.stall_cycles),
             stall_cycles: self.counters.stall_cycles,
             mult_active_cycles: self.counters.mult_active_cycles,
-            mult_variant_factor: sys.config.mult_variant.factor(),
+            mult_variant_factor: config.mult_variant.factor(),
             rom_word_reads: raw.rom.reads,
             rom_line_reads: raw.rom.line_reads,
             ram_reads: raw.ram.reads,
             ram_writes: raw.ram.writes,
-            icache: sys.config.icache.map(|c| IcacheActivity {
+            icache: config.icache.map(|c| IcacheActivity {
                 size_bytes: c.size_bytes,
                 accesses: raw.icache.map(|ic| ic.accesses).unwrap_or(0),
                 fills: raw.icache.map(|ic| ic.fills).unwrap_or(0),
             }),
-            cop: match sys.config.arch {
+            cop: match config.arch {
                 Arch::Monte => Some(CopActivity {
                     kind: CopKind::Monte,
                     busy_cycles: raw.cop.busy_cycles,
@@ -856,18 +875,18 @@ impl RunAccum {
                     // 3 scratch accesses per busy cycle (2 reads + 1
                     // write on average through the CIOS inner loops).
                     scratch_accesses: 3 * raw.cop.busy_cycles,
-                    gating: sys.config.gating,
+                    gating: config.gating,
                     sram_register_file: false,
                 }),
                 Arch::Billie => Some(CopActivity {
                     kind: CopKind::Billie {
-                        m: sys.config.curve.nist_binary().m(),
+                        m: config.curve.nist_binary().m(),
                     },
                     busy_cycles: raw.cop.busy_cycles,
                     dma_cycles: raw.cop.dma_cycles,
                     scratch_accesses: 0,
-                    gating: sys.config.gating,
-                    sram_register_file: sys.config.billie_sram_rf,
+                    gating: config.gating,
+                    sram_register_file: config.billie_sram_rf,
                 }),
                 _ => None,
             },

@@ -9,10 +9,14 @@
 //! `(curve, arch, workload)` triples via [`crate::supports`] (Monte
 //! accelerates prime fields only, Billie binary fields only, ladder
 //! workloads need the RFC 7748 curves and vice versa), and returns
-//! the deduplicated lattice in a *canonical order*. That order is load-bearing: the
-//! explorer's Pareto tie-breaking and its provable pruning rules both
-//! key off a point's index in the enumerated lattice, which is a pure
-//! function of the spec — independent of threads, seeds, or strategy.
+//! the deduplicated lattice in a *canonical order*. That order is
+//! load-bearing: the explorer's Pareto tie-breaking keys off a point's
+//! index in the enumerated lattice, which is a pure function of the
+//! spec — independent of threads and seeds.
+//!
+//! [`sim_point`] names the energy-only knobs: lattice points that share
+//! a sim point share one simulation and differ only in how its
+//! counters are priced (see `RunReport::priced_for`).
 //!
 //! ```
 //! use ule_core::space::{Axis, SpaceSpec};
@@ -36,10 +40,8 @@ use ule_pete::icache::{CacheConfig, CacheGeometryError};
 use ule_swlib::builder::Arch;
 
 /// One knob's candidate list. Declaring an axis replaces that knob's
-/// default single-value list in the [`SpaceSpec`]; list order is
-/// significant (it fixes the canonical enumeration order, and the
-/// greedy strategy can only prune a point in favour of an
-/// *earlier-listed* sibling).
+/// default single-value list in the [`SpaceSpec`]; list order fixes the
+/// canonical enumeration order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Axis {
     /// Curves to cover.
@@ -190,21 +192,6 @@ impl SpaceSpec {
         ]
     }
 
-    /// The declared mult-variant candidates, in axis order.
-    pub fn mult_variants(&self) -> &[MultVariant] {
-        &self.mult_variants
-    }
-
-    /// The declared gating candidates, in axis order.
-    pub fn gatings(&self) -> &[Gating] {
-        &self.gatings
-    }
-
-    /// The declared Billie register-file candidates, in axis order.
-    pub fn billie_sram_rf(&self) -> &[bool] {
-        &self.billie_sram_rf
-    }
-
     /// Validates every axis value without enumerating.
     pub fn validate(&self) -> Result<(), SpaceError> {
         for axis in self.axes() {
@@ -301,6 +288,22 @@ pub fn canonicalize(mut cfg: SystemConfig) -> SystemConfig {
         cfg.gating = Gating::None;
     }
     cfg
+}
+
+/// The configuration a point actually has to simulate: `cfg` with the
+/// energy-only knobs — `gating`, `mult_variant` and `billie_sram_rf` —
+/// reset to their defaults. These knobs change power, never timing
+/// (§7.8 multiplier variants, §8 gating and SRAM register file), so
+/// every configuration with the same sim point has bit-identical
+/// counters and raw statistics, and its report is the sim point's
+/// report repriced with `RunReport::priced_for`.
+pub fn sim_point(cfg: SystemConfig) -> SystemConfig {
+    SystemConfig {
+        gating: Gating::None,
+        mult_variant: MultVariant::Karatsuba,
+        billie_sram_rf: false,
+        ..cfg
+    }
 }
 
 /// The silicon-area proxy of one configuration, kilo-gate-equivalents

@@ -1,9 +1,8 @@
-//! The explorer: lattice enumeration → (resumable) evaluation via a
-//! [`Strategy`] → incremental Pareto frontier → canonical journal.
+//! The explorer: lattice enumeration → (resumable) [`Grid`] evaluation
+//! → incremental Pareto frontier → canonical journal.
 
 use crate::journal::{self, parse_design_points};
 use crate::pareto::{Objectives, ParetoFront};
-use crate::strategy::{ExploreState, Strategy};
 use crate::Evaluator;
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
@@ -47,6 +46,49 @@ impl From<std::io::Error> for ExploreError {
     }
 }
 
+/// Exhaustive evaluation in canonical lattice order, in fixed-size
+/// batches (the batch size only shapes journal flush granularity —
+/// results are order-independent).
+///
+/// Every lattice point gets a journal record. Points that differ only
+/// in energy-only knobs share a sim point (`ule_core::space::sim_point`),
+/// so a memoizing evaluator simulates each sim point once and reprices
+/// it for the rest.
+pub struct Grid {
+    cursor: usize,
+}
+
+/// Points per [`Grid`] batch: small enough that an interrupted run
+/// resumes most finished work, large enough to keep the parallel
+/// engine's threads fed.
+pub const GRID_BATCH: usize = 32;
+
+impl Grid {
+    /// A fresh grid sweep.
+    pub fn new() -> Self {
+        Grid { cursor: 0 }
+    }
+
+    /// The next lattice indices still without objectives; empty once
+    /// the cursor has passed the whole lattice.
+    fn next_batch(&mut self, evaluated: &[Option<Objectives>]) -> Vec<usize> {
+        let mut batch = Vec::new();
+        while self.cursor < evaluated.len() && batch.len() < GRID_BATCH {
+            if evaluated[self.cursor].is_none() {
+                batch.push(self.cursor);
+            }
+            self.cursor += 1;
+        }
+        batch
+    }
+}
+
+impl Default for Grid {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// One frontier point of a finished exploration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FrontierEntry {
@@ -65,19 +107,22 @@ pub struct ExploreOutcome {
     pub space: String,
     /// Workload every point ran.
     pub workload: Workload,
-    /// Strategy name.
+    /// Strategy name: `"grid"` (journals written by the retired
+    /// `greedy` pruner still load with theirs).
     pub strategy: String,
-    /// Campaign seed (orders greedy's schedule; recorded for grid too).
+    /// Campaign seed, recorded in the journal.
     pub seed: u64,
     /// Size of the canonical lattice.
     pub lattice_points: usize,
-    /// Points the strategy proved it never needs to evaluate.
+    /// Points left unevaluated: always 0 for a grid run (nonzero only
+    /// in journals of the retired `greedy` pruner).
     pub pruned: usize,
-    /// Points with results in the journal (resumed + simulated).
+    /// Points with results in the journal (resumed + evaluated now).
     pub evaluated: usize,
-    /// Points recovered from the journal instead of re-simulated.
+    /// Points recovered from the journal instead of re-evaluated.
     pub resumed: usize,
-    /// Points actually simulated this run.
+    /// Points evaluated this run. A memoizing evaluator may answer
+    /// several of them from one simulation.
     pub simulated: usize,
     /// The Pareto frontier, rank order.
     pub frontier: Vec<FrontierEntry>,
@@ -86,13 +131,13 @@ pub struct ExploreOutcome {
 /// Runs one exploration. `out` is the journal path: design points are
 /// appended as they finish (so a killed run loses at most the
 /// in-flight batch), matching points from an existing journal are
-/// resumed without re-simulation, and on completion the file is
+/// resumed without re-evaluation, and on completion the file is
 /// rewritten in canonical order — byte-identical across runs, resumes,
 /// and thread counts.
 pub fn explore(
     evaluator: &dyn Evaluator,
     space: &SpaceSpec,
-    strategy: &mut dyn Strategy,
+    grid: &mut Grid,
     seed: u64,
     out: Option<&Path>,
 ) -> Result<ExploreOutcome, ExploreError> {
@@ -131,12 +176,7 @@ pub fn explore(
     };
     let mut simulated = 0usize;
     loop {
-        let batch = strategy.next_batch(&ExploreState {
-            space,
-            lattice: &lattice,
-            evaluated: &objectives,
-            frontier: &frontier,
-        });
+        let batch = grid.next_batch(&objectives);
         if batch.is_empty() {
             break;
         }
@@ -178,10 +218,10 @@ pub fn explore(
     let outcome = ExploreOutcome {
         space: space.name.clone(),
         workload: space.workload,
-        strategy: strategy.name().to_owned(),
+        strategy: "grid".to_owned(),
         seed,
         lattice_points: lattice.len(),
-        pruned: strategy.pruned(),
+        pruned: 0,
         evaluated,
         resumed,
         simulated,
@@ -435,4 +475,27 @@ pub fn render_report(
         );
     }
     Ok(t)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn grid_covers_every_unevaluated_point_in_order() {
+        let obj = Objectives {
+            cycles: 1,
+            energy_uj: 1.0,
+            area_kge: 1.0,
+        };
+        let mut evaluated = vec![None; GRID_BATCH + 9];
+        evaluated[1] = Some(obj);
+        let mut grid = Grid::new();
+        let first = grid.next_batch(&evaluated);
+        assert_eq!(first.len(), GRID_BATCH);
+        assert_eq!(first[..2], [0, 2], "resumed points are skipped");
+        let second = grid.next_batch(&evaluated);
+        assert_eq!(second, (GRID_BATCH + 1..GRID_BATCH + 9).collect::<Vec<_>>());
+        assert!(grid.next_batch(&evaluated).is_empty());
+    }
 }

@@ -62,9 +62,8 @@ pub fn push_identity(r: &mut Record, config: &SystemConfig, workload: Workload) 
 }
 
 /// One `frontier` record: rank, the point's identity, and its three
-/// objectives. Strategy-free on purpose — grid and greedy journals for
-/// the same space must carry byte-identical frontier lines (the CI
-/// agreement check is a literal `diff`).
+/// objectives. Nothing run-dependent, so a space's frontier lines can
+/// be pinned as a golden file and compared with a literal `diff`.
 pub fn frontier_record(
     space: &str,
     rank: usize,

@@ -9,12 +9,12 @@
 //!
 //! * [`ule_core::space::SpaceSpec`] declares a parameter lattice over
 //!   every `SystemConfig` knob, with per-architecture validity rules;
-//! * a [`strategy::Strategy`] decides which points to evaluate —
-//!   exhaustive [`strategy::Grid`], or [`strategy::Greedy`], which
-//!   analytically prunes provably-dominated points and schedules the
-//!   survivors by seed;
+//! * a [`Grid`] walks every lattice point in canonical order;
 //! * evaluation goes through an [`Evaluator`] (in production,
-//!   `ule-bench`'s memoizing parallel `SweepEngine`);
+//!   `ule-bench`'s memoizing parallel `SweepEngine`, which simulates
+//!   each distinct `ule_core::space::sim_point` once and reprices it
+//!   for the energy-only knobs — 16 simulations for the 48 points of
+//!   `billie-digit`);
 //! * [`pareto::ParetoFront`] maintains the energy × cycles × area
 //!   frontier incrementally, with lattice-index tie-breaking that makes
 //!   it a pure function of the evaluated set;
@@ -22,8 +22,8 @@
 //!   resumable, byte-stable JSONL [`journal`].
 //!
 //! Everything is deterministic: same space, same seed, same journal
-//! bytes — regardless of strategy, thread count, or how many times the
-//! run was killed and resumed. The `repro explore` subcommand is the
+//! bytes — regardless of thread count or how many times the run was
+//! killed and resumed. The `repro explore` subcommand is the
 //! CLI surface.
 
 #![forbid(unsafe_code)]
@@ -33,7 +33,6 @@ pub mod explore;
 pub mod journal;
 pub mod pareto;
 pub mod spaces;
-pub mod strategy;
 
 use ule_core::{SystemConfig, Workload};
 use ule_obs::record::Record;
@@ -60,6 +59,5 @@ pub trait Evaluator {
     fn evaluate(&self, jobs: &[(SystemConfig, Workload)]) -> Vec<PointEval>;
 }
 
-pub use explore::{explore, ExploreError, ExploreOutcome, FrontierEntry};
+pub use explore::{explore, ExploreError, ExploreOutcome, FrontierEntry, Grid};
 pub use pareto::{dominates, Objectives, ParetoFront};
-pub use strategy::{Greedy, Grid, Strategy};

@@ -9,7 +9,7 @@
 //! kernel convention) and the frontier would depend on evaluation
 //! order. With it, the frontier is the set of maximal elements of a
 //! finite strict partial order — a pure function of the evaluated set,
-//! independent of insertion order, thread schedule, or strategy.
+//! independent of insertion order or thread schedule.
 
 /// One point's objective vector. All three are minimized.
 #[derive(Clone, Copy, Debug, PartialEq)]

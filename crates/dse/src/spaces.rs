@@ -5,7 +5,7 @@
 //!
 //! * `billie-digit` — the Fig 7.14 axis: K-163 scalar multiplication on
 //!   Billie across every digit width, crossed with the §7.8 multiplier
-//!   variants (which greedy prunes analytically);
+//!   variants (48 points; the variants only reprice, so 16 simulations);
 //! * `monte-gating` — P-192 Monte front-end ablations (§7.7) crossed
 //!   with the idle-gating strategies;
 //! * `handshake` — the RFC 7748 ladder curves (X25519/X448) running the
@@ -32,9 +32,6 @@ pub const BUILTIN_NAMES: [&str; 4] = ["billie-digit", "monte-gating", "handshake
 
 /// Looks up a built-in space by name.
 pub fn builtin(name: &str) -> Option<SpaceSpec> {
-    // Prunable axes are declared best-candidate-first on purpose:
-    // greedy pruning can only discard a point in favour of an
-    // *earlier*-indexed sibling.
     match name {
         "billie-digit" => Some(
             SpaceSpec::new("billie-digit", Workload::ScalarMul)

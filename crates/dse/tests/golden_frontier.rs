@@ -1,14 +1,13 @@
 //! End-to-end explorer tests against the real simulator: a pinned
 //! golden frontier for the built-in Billie digit-width space (the
-//! paper's Fig 7.14 axis), grid/greedy frontier agreement, and
-//! byte-identical journal resume.
+//! paper's Fig 7.14 axis) and byte-identical journal resume.
 
 use std::path::PathBuf;
 
 use ule_core::metrics::design_point_record;
 use ule_core::{MultVariant, RunOptions, System, SystemConfig, Workload};
 use ule_dse::spaces::builtin;
-use ule_dse::{explore, Evaluator, Greedy, Grid, PointEval};
+use ule_dse::{explore, Evaluator, Grid, PointEval};
 
 /// A serial evaluator running the real simulator — the test-side
 /// stand-in for `ule-bench`'s `SweepEngine` bridge (which lives above
@@ -62,29 +61,6 @@ fn billie_digit_grid_frontier_matches_golden() {
             "frontier ranks must ascend in energy"
         );
         last_energy = entry.objectives.energy_uj;
-    }
-}
-
-/// The greedy pruner must evaluate strictly fewer points than the grid
-/// yet recover the identical frontier — and do so for any seed, since
-/// the seed only permutes the schedule.
-#[test]
-fn greedy_recovers_the_grid_frontier_with_fewer_evaluations() {
-    let space = builtin("billie-digit").expect("built-in space");
-    let grid = explore(&SimEval, &space, &mut Grid::new(), 0, None).expect("grid");
-    for seed in [0u64, 0x1CE, u64::MAX] {
-        let greedy = explore(&SimEval, &space, &mut Greedy::new(seed), seed, None).expect("greedy");
-        assert!(
-            greedy.evaluated < grid.evaluated,
-            "seed {seed}: greedy evaluated {} of grid's {}",
-            greedy.evaluated,
-            grid.evaluated
-        );
-        assert_eq!(greedy.frontier.len(), grid.frontier.len(), "seed {seed}");
-        for (g, e) in grid.frontier.iter().zip(&greedy.frontier) {
-            assert_eq!(g.config, e.config, "seed {seed}");
-            assert_eq!(g.objectives, e.objectives, "seed {seed}");
-        }
     }
 }
 

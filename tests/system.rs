@@ -193,3 +193,26 @@ fn simulated_signature_verifies_across_architectures() {
     };
     assert!(ecdsa::verify_prehashed(&curve, &keys.public(), &e, &sig));
 }
+
+#[test]
+fn sweep_engine_reprices_energy_only_knobs_from_one_simulation() {
+    // Gating and the SRAM register file change power, never timing: the
+    // engine answers the variant from the base point's simulation, and
+    // the repriced report equals a direct run bit for bit.
+    use ule_repro::bench::SweepEngine;
+    use ule_repro::energy::report::Gating;
+    let engine = SweepEngine::new();
+    let base = SystemConfig::new(CurveId::K163, Arch::Billie);
+    let variant = base.with_gating(Gating::Power).with_billie_sram_rf(true);
+    let base_report = engine.run(base, Workload::ScalarMul);
+    let repriced = engine.run(variant, Workload::ScalarMul);
+    assert_eq!(engine.simulations(), 1);
+    let direct = System::new(variant).run_with(RunOptions::new(Workload::ScalarMul));
+    assert_eq!(*repriced, direct);
+    assert_eq!(
+        repriced.energy.total_uj().to_bits(),
+        direct.energy.total_uj().to_bits()
+    );
+    assert_eq!(repriced.counters, base_report.counters);
+    assert_ne!(repriced.energy, base_report.energy);
+}
