@@ -15,12 +15,10 @@
 //! simulation wall-clock (descending), all under the metrics
 //! `schema_version`.
 
-use std::path::PathBuf;
-use std::str::FromStr;
+use std::collections::HashSet;
 use std::time::Instant;
 
-use std::collections::HashSet;
-
+use ule_bench::cli::{self, Action, Command, Sub, Tool};
 use ule_bench::{ConfigKey, ExperimentId, Job, SweepEngine};
 use ule_obs::json::JsonBuf;
 
@@ -36,51 +34,33 @@ fn prefast_sim_wall_ms(out: &std::path::Path) -> Option<f64> {
 }
 
 fn main() {
-    let mut threads: Option<usize> = None;
-    let mut out = PathBuf::from("BENCH_sweep.json");
-    let mut selected: Vec<ExperimentId> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads expects a positive integer");
-                        std::process::exit(2);
-                    });
-                threads = Some(n);
-            }
-            "--out" => match args.next() {
-                Some(p) => out = PathBuf::from(p),
-                None => {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                }
-            },
-            "-h" | "--help" => {
-                println!("usage: bench [--threads N] [--out PATH] [<experiment-id>... | all]");
-                println!("times a sweep and writes BENCH_sweep.json (default: all experiments)");
-                return;
-            }
-            "all" => selected.extend(ExperimentId::ALL),
-            other => match ExperimentId::from_str(other) {
-                Ok(id) => selected.push(id),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            },
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let command = cli::parse(Tool::Bench, &args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("run `bench --help` for the options");
+        std::process::exit(2);
+    });
+    let Command {
+        obs,
+        action: Action::Bench(args),
+        ..
+    } = command
+    else {
+        // `--help`
+        print!("{}", cli::help(Sub::Bench));
+        return;
+    };
+    if let Err(e) = obs.install() {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
-    if selected.is_empty() {
-        selected.extend(ExperimentId::ALL);
+    if obs.progress_on() {
+        ule_obs::progress::start("bench");
     }
+    let (selected, out) = (args.ids, args.out);
 
     let mut engine = SweepEngine::new();
-    if let Some(n) = threads {
+    if let Some(n) = args.threads {
         engine = engine.with_threads(n);
     }
 
@@ -88,6 +68,7 @@ fn main() {
     let started = Instant::now();
     let reports = engine.run_batch(&jobs);
     let batch_wall = started.elapsed();
+    ule_obs::progress::finish();
 
     // Deterministic workload totals over the *distinct* design points
     // (the submission union repeats points across experiments): pure
@@ -197,4 +178,5 @@ fn main() {
         engine.threads(),
         out.display()
     );
+    ule_obs::clear_sink();
 }

@@ -84,12 +84,7 @@ impl ConfigKey {
         let mut s = format!(
             "{}/{}/{}",
             c.curve.name(),
-            match c.arch {
-                Arch::Baseline => "baseline",
-                Arch::IsaExt => "isa_ext",
-                Arch::Monte => "monte",
-                Arch::Billie => "billie",
-            },
+            ule_core::metrics::arch_key(c.arch),
             ule_core::metrics::workload_key(self.workload),
         );
         if let Some(ic) = c.icache {

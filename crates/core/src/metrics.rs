@@ -20,6 +20,9 @@ use ule_pete::mem::MemStats;
 use ule_pete::profile::RoutineProfile;
 use ule_swlib::builder::Arch;
 
+/// Every architecture, in declaration order.
+pub const ARCHS: [Arch; 4] = [Arch::Baseline, Arch::IsaExt, Arch::Monte, Arch::Billie];
+
 /// Stable identifier for an architecture.
 pub fn arch_key(a: Arch) -> &'static str {
     match a {
@@ -28,6 +31,11 @@ pub fn arch_key(a: Arch) -> &'static str {
         Arch::Monte => "monte",
         Arch::Billie => "billie",
     }
+}
+
+/// The architecture whose [`arch_key`] is exactly `key`.
+pub fn arch_from_key(key: &str) -> Option<Arch> {
+    ARCHS.into_iter().find(|&a| arch_key(a) == key)
 }
 
 /// Stable identifier for a §7.8 multiplier variant.
@@ -46,6 +54,22 @@ pub fn gating_key(g: Gating) -> &'static str {
         Gating::Clock => "clock",
         Gating::Power => "power",
     }
+}
+
+/// Every workload, in declaration order.
+pub const WORKLOADS: [Workload; 7] = [
+    Workload::Sign,
+    Workload::Verify,
+    Workload::SignVerify,
+    Workload::ScalarMul,
+    Workload::FieldMul,
+    Workload::Xdh,
+    Workload::Handshake,
+];
+
+/// The workload whose [`workload_key`] is exactly `key`.
+pub fn workload_from_key(key: &str) -> Option<Workload> {
+    WORKLOADS.into_iter().find(|&w| workload_key(w) == key)
 }
 
 /// Stable identifier for a workload.
@@ -375,6 +399,19 @@ mod tests {
     use crate::{RunOptions, System, Workload};
     use ule_curves::params::CurveId;
     use ule_obs::json::is_valid;
+
+    #[test]
+    fn arch_and_workload_keys_round_trip() {
+        for a in ARCHS {
+            assert_eq!(arch_from_key(arch_key(a)), Some(a));
+        }
+        for w in WORKLOADS {
+            assert_eq!(workload_from_key(workload_key(w)), Some(w));
+        }
+        // Keys are exact: the CLI's dash spellings are not keys.
+        assert_eq!(arch_from_key("isa-ext"), None);
+        assert_eq!(workload_from_key("sign-verify"), None);
+    }
 
     #[test]
     fn design_point_record_is_flat_valid_json() {

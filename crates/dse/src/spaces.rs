@@ -87,16 +87,7 @@ pub fn builtin(name: &str) -> Option<SpaceSpec> {
 }
 
 pub(crate) fn parse_workload(s: &str) -> Result<Workload, String> {
-    Ok(match s {
-        "sign" => Workload::Sign,
-        "verify" => Workload::Verify,
-        "sign_verify" => Workload::SignVerify,
-        "scalar_mul" => Workload::ScalarMul,
-        "field_mul" => Workload::FieldMul,
-        "xdh" => Workload::Xdh,
-        "handshake" => Workload::Handshake,
-        other => return Err(format!("unknown workload {other:?}")),
-    })
+    ule_core::metrics::workload_from_key(s).ok_or_else(|| format!("unknown workload {s:?}"))
 }
 
 pub(crate) fn parse_curve(s: &str) -> Result<CurveId, String> {
@@ -108,13 +99,7 @@ pub(crate) fn parse_curve(s: &str) -> Result<CurveId, String> {
 }
 
 pub(crate) fn parse_arch(s: &str) -> Result<Arch, String> {
-    Ok(match s {
-        "baseline" => Arch::Baseline,
-        "isa_ext" => Arch::IsaExt,
-        "monte" => Arch::Monte,
-        "billie" => Arch::Billie,
-        other => return Err(format!("unknown arch {other:?}")),
-    })
+    ule_core::metrics::arch_from_key(s).ok_or_else(|| format!("unknown arch {s:?}"))
 }
 
 pub(crate) fn parse_mult_variant(s: &str) -> Result<MultVariant, String> {

@@ -21,6 +21,8 @@ use ule_curves::params::{Curve, CurveId};
 use ule_mpmath::mp::Mp;
 use ule_testkit::Rng;
 
+use crate::NothingChecked;
+
 /// One batch-oracle campaign.
 #[derive(Clone, Debug)]
 pub struct BatchOracleConfig {
@@ -119,8 +121,10 @@ impl BatchOracleReport {
 
 /// Runs the campaign: every case builds one adversarial batch, compares
 /// `verify_batch_prehashed` elementwise against `verify_prehashed`, and
-/// shrinks any divergence.
-pub fn run_batch_oracle(cfg: &BatchOracleConfig) -> BatchOracleReport {
+/// shrinks any divergence. A campaign that checks no batch at all (only
+/// RFC 7748 curves, or a `--batch-case` past the case count) is an
+/// error, not a clean report.
+pub fn run_batch_oracle(cfg: &BatchOracleConfig) -> Result<BatchOracleReport, NothingChecked> {
     let _span = ule_obs::span("verify.batch_oracle");
     let mut report = BatchOracleReport::default();
     for &id in &cfg.curves {
@@ -168,7 +172,24 @@ pub fn run_batch_oracle(cfg: &BatchOracleConfig) -> BatchOracleReport {
             batches = report.batches as u64,
         );
     }
-    report
+    if report.batches == 0 {
+        let selector = if cfg.curves.iter().all(|id| id.is_mont()) {
+            let curves: Vec<String> = cfg
+                .curves
+                .iter()
+                .map(|id| format!("--curve {}", id.name()))
+                .collect();
+            format!("{} (no ECDSA curve)", curves.join(" "))
+        } else {
+            format!(
+                "--batch-case {} (cases 0..{})",
+                cfg.only_case.unwrap_or(0),
+                cfg.cases
+            )
+        };
+        return Err(NothingChecked { selector });
+    }
+    Ok(report)
 }
 
 /// One adversarial batch: a seeded mix of every item kind.
@@ -338,7 +359,7 @@ mod tests {
             max_batch: 12,
             only_case: None,
         };
-        let report = run_batch_oracle(&cfg);
+        let report = run_batch_oracle(&cfg).expect("two ECDSA curves");
         assert_eq!(report.batches, 12);
         assert!(report.items > 12);
         assert!(report.divergences.is_empty(), "{}", report.render(&cfg));
@@ -358,11 +379,27 @@ mod tests {
             only_case: Some(2),
             ..full.clone()
         };
-        let a = run_batch_oracle(&full);
-        let b = run_batch_oracle(&replay);
+        let a = run_batch_oracle(&full).expect("four cases");
+        let b = run_batch_oracle(&replay).expect("case 2 exists");
         assert_eq!(a.batches, 4);
         assert_eq!(b.batches, 1);
         assert!(b.items <= a.items);
+    }
+
+    #[test]
+    fn an_oracle_that_checks_no_batch_is_an_error() {
+        let past_the_end = BatchOracleConfig {
+            only_case: Some(999_999),
+            ..BatchOracleConfig::new(1, 1)
+        };
+        let err = run_batch_oracle(&past_the_end).expect_err("no such case");
+        assert_eq!(err.selector, "--batch-case 999999 (cases 0..1)");
+        let ladder_only = BatchOracleConfig {
+            curves: vec![CurveId::X25519],
+            ..BatchOracleConfig::new(1, 1)
+        };
+        let err = run_batch_oracle(&ladder_only).expect_err("no signatures");
+        assert_eq!(err.selector, "--curve X25519 (no ECDSA curve)");
     }
 
     #[test]

@@ -65,10 +65,17 @@ impl CaseSelector {
     }
 
     pub(crate) fn matches(&self, label: &str) -> bool {
+        label == self.to_string()
+    }
+}
+
+impl std::fmt::Display for CaseSelector {
+    /// The case label, as [`CaseSelector::parse`] reads it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CaseSelector::Random(i) => label == format!("random:{i}"),
-            CaseSelector::Edge(name) => label == format!("edge:{name}"),
-            CaseSelector::Negative(i) => label == format!("negative:{i}"),
+            CaseSelector::Random(i) => write!(f, "random:{i}"),
+            CaseSelector::Edge(name) => write!(f, "edge:{name}"),
+            CaseSelector::Negative(i) => write!(f, "negative:{i}"),
         }
     }
 }

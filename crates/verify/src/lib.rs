@@ -164,6 +164,22 @@ impl Report {
     }
 }
 
+/// A campaign or oracle whose selectors matched no case at all. It
+/// checked nothing, so it can neither pass nor fail.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NothingChecked {
+    /// The selector that matched nothing, spelled as the CLI takes it.
+    pub selector: String,
+}
+
+impl std::fmt::Display for NothingChecked {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} selects no case: nothing was checked", self.selector)
+    }
+}
+
+impl std::error::Error for NothingChecked {}
+
 /// How many random cases a curve gets: the big fields cost seconds per
 /// simulated verification (a K-571 baseline sign+verify is ~5 s), so
 /// the budget is tiered by field size; every curve always gets at
@@ -180,8 +196,10 @@ fn tiered_iters(id: CurveId, iters: usize) -> usize {
 
 /// Runs a campaign: generate the corpus, execute every case on every
 /// in-scope configuration, cross-check all exposed intermediates, and
-/// shrink whatever diverged.
-pub fn run_campaign(campaign: &Campaign) -> Report {
+/// shrink whatever diverged. A campaign that runs no case at all (a
+/// `--case` replay naming a case the corpus does not contain) is an
+/// error, not a clean report.
+pub fn run_campaign(campaign: &Campaign) -> Result<Report, NothingChecked> {
     let _span = ule_obs::span("verify.campaign");
     let mut report = Report::default();
     let mut raw: Vec<Divergence> = Vec::new();
@@ -275,6 +293,13 @@ pub fn run_campaign(campaign: &Campaign) -> Report {
         report.per_curve.push(tally);
         rigs.push(rig);
     }
+    if report.cases == 0 {
+        let selector = match &campaign.only_case {
+            Some(sel) => format!("--case {sel}"),
+            None => "an empty curve list".to_string(),
+        };
+        return Err(NothingChecked { selector });
+    }
     for d in &raw {
         let rig = rigs
             .iter()
@@ -291,7 +316,7 @@ pub fn run_campaign(campaign: &Campaign) -> Report {
         checks = report.checks as u64,
         divergences = report.divergences.len() as u64,
     );
-    report
+    Ok(report)
 }
 
 /// Parses a curve name as the CLI accepts it: `P-192`, `p192`, `K571`,
@@ -379,7 +404,7 @@ mod tests {
         c.negative = false;
         c.only_case = Some(CaseSelector::Random(0));
         c.only_config = Some(ConfigKind::Coproc);
-        let report = run_campaign(&c);
+        let report = run_campaign(&c).expect("random:0 exists");
         assert_eq!(report.cases, 1);
         assert_eq!(report.sim_runs, 1);
         assert!(report.divergences.is_empty(), "{:?}", report.divergences);
@@ -395,12 +420,24 @@ mod tests {
         c.only_case = Some(CaseSelector::Random(0));
         c.only_config = Some(ConfigKind::Coproc);
         c.inject_fault = true;
-        let report = run_campaign(&c);
+        let report = run_campaign(&c).expect("random:0 exists");
         assert_eq!(report.divergences.len(), 1);
         let s = &report.divergences[0];
         assert_eq!(s.original.entry, "main_xdh");
         assert_eq!(s.original.field, "out_r");
         assert!(s.reproducer.contains("--curve X25519"));
         assert!(s.reproducer.contains("--case random:0"));
+    }
+
+    #[test]
+    fn a_case_selector_that_matches_nothing_is_an_error() {
+        let mut c = Campaign::new(parse_seed("0xULE"), 1);
+        c.curves = vec![CurveId::P192];
+        c.only_config = Some(ConfigKind::Baseline);
+        for label in ["random:9999", "edge:nosuch"] {
+            c.only_case = CaseSelector::parse(label);
+            let err = run_campaign(&c).expect_err("no case matches");
+            assert_eq!(err.selector, format!("--case {label}"));
+        }
     }
 }

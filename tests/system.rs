@@ -216,3 +216,42 @@ fn sweep_engine_reprices_energy_only_knobs_from_one_simulation() {
     assert_eq!(repriced.counters, base_report.counters);
     assert_ne!(repriced.energy, base_report.energy);
 }
+
+#[test]
+fn cli_table_parses_every_subcommand() {
+    // One argv per subcommand through the option table, plus one it
+    // must refuse; nothing is simulated.
+    use ule_repro::bench::cli::{self, Action, CliError, Sub, Tool};
+    let parse = |line: &str| {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        cli::parse(Tool::Repro, &argv)
+    };
+    let ok = |line: &str| parse(line).unwrap_or_else(|e| panic!("{line}: {e}")).action;
+    assert!(matches!(ok("--threads 2 fig7_1"), Action::Run(a) if a.threads == Some(2)));
+    assert!(matches!(ok("verify --iters 3"), Action::Verify(a) if a.campaign.iters == 3));
+    assert!(matches!(ok("diff a.jsonl b.jsonl"), Action::Diff(_)));
+    assert!(matches!(ok("check --journal j.jsonl"), Action::Check(_)));
+    assert!(
+        matches!(ok("profile --arch isa-ext --curve P192"), Action::Profile(a) if a.arch == Arch::IsaExt)
+    );
+    assert!(matches!(ok("overhead --runs 2"), Action::Overhead(a) if a.runs == 2));
+    assert!(matches!(ok("serve --curve K-163"), Action::Serve(a) if a.batch_sizes == [1, 4, 16]));
+    assert!(
+        matches!(ok("--threads 3 explore --space smoke"), Action::Explore(a) if a.threads == Some(3))
+    );
+    assert!(matches!(
+        ok("selftest-flight --no-progress"),
+        Action::SelftestFlight
+    ));
+    let bench = cli::parse(Tool::Bench, &["--threads".to_string(), "1".to_string()]);
+    assert!(matches!(bench.map(|c| c.action), Ok(Action::Bench(a)) if a.threads == Some(1)));
+    assert_eq!(
+        parse("--metrics-out m.jsonl verify")
+            .map(|c| c.action)
+            .err(),
+        Some(CliError::NotFor {
+            flag: "--metrics-out",
+            sub: Sub::Verify
+        })
+    );
+}
