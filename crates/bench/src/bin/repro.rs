@@ -110,7 +110,7 @@ fn run_check(args: cli::CheckArgs) -> Outcome {
             ))
         }),
         (&args.journal, "explorer journal", |text, _| {
-            let s = ule_dse::journal::validate_journal(text)?;
+            let s = ule_dse::journal::read_journal(text)?.stats;
             let mut line = format!(
                 "{} design points, {} frontier points, {} summary",
                 s.design_points, s.frontier_points, s.summaries
@@ -516,7 +516,12 @@ fn run_explore(args: cli::ExploreArgs) -> Outcome {
     };
     if args.report {
         let path = args.out.as_deref().expect("--report comes with --out");
-        let outcome = ule_dse::explore::outcome_from_journal(&read_file(path)?)
+        let outcome = ule_dse::journal::read_journal(&read_file(path)?)
+            .and_then(|j| {
+                j.outcome.ok_or_else(|| {
+                    "journal has no dse_summary record (incomplete exploration?)".into()
+                })
+            })
             .map_err(|e| fail(2, format!("{}: {e}", path.display())))?;
         print!("{}", render(&outcome)?);
         return Ok(0);

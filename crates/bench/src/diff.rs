@@ -13,11 +13,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use ule_obs::json::{self, Json};
-
-// The join keys live in `ule-core` next to the record writer, so the
-// writer and every reader (diff, the dse journal) share one source.
-pub use ule_core::metrics::IDENTITY_KEYS;
+use ule_core::metrics::{arch_key, config_identity, decode_identity, workload_key};
+use ule_obs::json;
 
 /// Relative drift thresholds (fractions, not percent). The defaults are
 /// zero: the simulator is deterministic, so any drift is a change.
@@ -157,23 +154,12 @@ struct Point {
     energy_uj: f64,
 }
 
-fn fmt_value(v: &Json) -> String {
-    match v {
-        Json::Null => "null".to_owned(),
-        Json::Bool(b) => b.to_string(),
-        Json::U64(n) => n.to_string(),
-        Json::I64(n) => n.to_string(),
-        Json::F64(n) => n.to_string(),
-        Json::Str(s) => s.clone(),
-        Json::Arr(_) | Json::Obj(_) => "<nested>".to_owned(),
-    }
-}
-
 /// Parses the `design_point` records of a metrics JSONL document.
 /// Other record kinds — `engine_summary`, an exploration journal's
 /// `frontier`/`dse_summary`, anything from a future schema — are
-/// skipped and counted into `skipped`; malformed JSON or a design
-/// point missing a required key is an error.
+/// skipped and counted into `skipped`; malformed JSON, or a design
+/// point whose identity the `ule_core::metrics` codec refuses or that
+/// lacks its headline metrics, is an error.
 fn parse_points(
     name: &str,
     text: &str,
@@ -195,24 +181,13 @@ fn parse_points(
             *skipped.entry(kind.to_owned()).or_insert(0) += 1;
             continue;
         }
-        let mut identity = String::new();
-        for key in IDENTITY_KEYS {
-            let v = doc
-                .get(key)
-                .ok_or_else(|| format!("{name}:{n}: design point missing {key:?}"))?;
-            identity.push_str(&format!("{key}={}|", fmt_value(v)));
-        }
-        let get_str = |key: &str| {
-            doc.get(key)
-                .and_then(|v| v.as_str())
-                .unwrap_or("?")
-                .to_owned()
-        };
+        let (config, workload) =
+            decode_identity(&doc).map_err(|e| format!("{name}:{n}: design point {e}"))?;
         let label = format!(
             "{}/{}/{}",
-            get_str("curve"),
-            get_str("arch"),
-            get_str("workload")
+            config.curve.name(),
+            arch_key(config.arch),
+            workload_key(workload)
         );
         let cycles = doc
             .get("cycles")
@@ -223,7 +198,7 @@ fn parse_points(
             .and_then(|v| v.as_f64())
             .ok_or_else(|| format!("{name}:{n}: design point without numeric energy_uj"))?;
         out.push(Point {
-            identity,
+            identity: config_identity(&config, workload),
             label,
             cycles,
             energy_uj,
@@ -307,7 +282,7 @@ mod tests {
                 r#""icache_size_bytes":0,"icache_prefetch":false,"icache_ideal":false,"#,
                 r#""icache_miss_penalty":0,"monte_double_buffer":false,"#,
                 r#""monte_forwarding":false,"monte_queue_depth":1,"billie_digit":4,"#,
-                r#""mult_variant":"karatsuba","gating":"gated","billie_sram_rf":false,"#,
+                r#""mult_variant":"karatsuba","gating":"clock","billie_sram_rf":false,"#,
                 r#""cycles":{},"time_ms":1.0,"energy_uj":{}}}"#
             ),
             curve, cycles, energy

@@ -64,9 +64,24 @@ fn metrics_schema_matches_golden() {
         energy_uj: 2.0,
         area_kge: 3.0,
     };
-    let frontier =
-        ule_dse::journal::frontier_record("smoke", 0, &jobs[0].0, jobs[0].1, &objectives);
-    let summary = ule_dse::journal::dse_summary_record("smoke", jobs[0].1, "grid", 0, 1, 0, 1, 1);
+    let outcome = ule_dse::ExploreOutcome {
+        space: "smoke".into(),
+        workload: jobs[0].1,
+        strategy: "grid".into(),
+        seed: 0,
+        lattice_points: 1,
+        pruned: 0,
+        evaluated: 1,
+        resumed: 0,
+        simulated: 0,
+        frontier: vec![ule_dse::FrontierEntry {
+            rank: 0,
+            config: jobs[0].0,
+            objectives,
+        }],
+    };
+    let frontier = ule_dse::journal::frontier_record("smoke", jobs[0].1, &outcome.frontier[0]);
+    let summary = ule_dse::journal::dse_summary_record(&outcome);
     for rec in [&frontier, &summary] {
         let Some(Value::Str(kind)) = rec.get("record") else {
             panic!("record without a kind");

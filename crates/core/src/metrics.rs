@@ -1,4 +1,5 @@
-//! Flattening [`RunReport`]s into versioned metrics records.
+//! Flattening [`RunReport`]s into versioned metrics records, and the
+//! one codec for a design point's identity.
 //!
 //! [`design_point_record`] turns one `(config, workload, report)` into
 //! one flat [`Record`] — the JSONL line behind `repro --metrics-out`.
@@ -8,14 +9,26 @@
 //! exporting it here is a compile error, not a silently-dropped
 //! counter. The exact key set is pinned by the golden-file test in
 //! `ule-bench`.
+//!
+//! A design point is named by the 15 [`IDENTITY_KEYS`]. This module is
+//! the only place a knob is named: [`identity_values`] encodes a
+//! `(SystemConfig, Workload)` into them (metrics records, journal
+//! `frontier` records and [`config_identity`] all go through it), and
+//! [`decode_identity`] is its exact inverse, turning a parsed record
+//! back into the pair or into a typed [`IdentityError`] naming the key.
 
-use crate::{MultVariant, RawStats, RunReport, SystemConfig, Workload};
+use crate::space::{SpaceError, BILLIE_DIGIT_RANGE};
+use crate::{MultVariant, RawStats, RunReport, SystemConfig, Workload, WorkloadError};
+use std::fmt::{self, Write as _};
+use ule_curves::params::CurveId;
 use ule_energy::report::{Component, EnergyBreakdown, Gating, RoutineActivity};
-use ule_obs::json::JsonBuf;
+use ule_monte::MonteConfig;
+use ule_obs::json::{Json, JsonBuf};
 use ule_obs::record::Record;
+use ule_obs::Value;
 use ule_pete::cop::CopStats;
 use ule_pete::cpu::Counters;
-use ule_pete::icache::CacheStats;
+use ule_pete::icache::{CacheConfig, CacheStats};
 use ule_pete::mem::MemStats;
 use ule_pete::profile::RoutineProfile;
 use ule_swlib::builder::Arch;
@@ -38,6 +51,21 @@ pub fn arch_from_key(key: &str) -> Option<Arch> {
     ARCHS.into_iter().find(|&a| arch_key(a) == key)
 }
 
+/// The curve whose name is exactly `key` (`"P-192"`, `"X25519"`, …).
+pub fn curve_from_key(key: &str) -> Option<CurveId> {
+    CurveId::ALL
+        .into_iter()
+        .chain(CurveId::XCURVES)
+        .find(|c| c.name() == key)
+}
+
+/// Every §7.8 multiplier variant, in declaration order.
+pub const MULT_VARIANTS: [MultVariant; 3] = [
+    MultVariant::Karatsuba,
+    MultVariant::OperandScan,
+    MultVariant::Parallel,
+];
+
 /// Stable identifier for a §7.8 multiplier variant.
 pub fn mult_variant_key(v: MultVariant) -> &'static str {
     match v {
@@ -47,6 +75,16 @@ pub fn mult_variant_key(v: MultVariant) -> &'static str {
     }
 }
 
+/// The multiplier variant whose [`mult_variant_key`] is exactly `key`.
+pub fn mult_variant_from_key(key: &str) -> Option<MultVariant> {
+    MULT_VARIANTS
+        .into_iter()
+        .find(|&v| mult_variant_key(v) == key)
+}
+
+/// Every gating strategy, in declaration order.
+pub const GATINGS: [Gating; 3] = [Gating::None, Gating::Clock, Gating::Power];
+
 /// Stable identifier for a gating strategy.
 pub fn gating_key(g: Gating) -> &'static str {
     match g {
@@ -54,6 +92,11 @@ pub fn gating_key(g: Gating) -> &'static str {
         Gating::Clock => "clock",
         Gating::Power => "power",
     }
+}
+
+/// The gating strategy whose [`gating_key`] is exactly `key`.
+pub fn gating_from_key(key: &str) -> Option<Gating> {
+    GATINGS.into_iter().find(|&g| gating_key(g) == key)
 }
 
 /// Every workload, in declaration order.
@@ -107,12 +150,62 @@ pub const IDENTITY_KEYS: [&str; 15] = [
     "billie_sram_rf",
 ];
 
-/// The canonical identity string of one design point: every
-/// [`IDENTITY_KEYS`] entry as `key=value|`, in key order, with values
-/// formatted exactly as they round-trip through a serialized
-/// [`design_point_record`] (so an identity built from a live config and
-/// one re-parsed from a journal line compare equal byte-for-byte).
-pub fn config_identity(config: &SystemConfig, workload: Workload) -> String {
+/// One identity value, typed as a record carries it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IdentityValue {
+    /// A stable identifier (`"P-192"`, `"billie"`, `"clock"`, …).
+    Str(&'static str),
+    /// An integer knob.
+    U64(u64),
+    /// A boolean knob.
+    Bool(bool),
+}
+
+impl IdentityValue {
+    fn matches(self, json: &Json) -> bool {
+        match (self, json) {
+            (IdentityValue::Str(a), Json::Str(b)) => a == b,
+            (IdentityValue::U64(a), Json::U64(b)) => a == *b,
+            (IdentityValue::Bool(a), Json::Bool(b)) => a == *b,
+            _ => false,
+        }
+    }
+}
+
+impl fmt::Display for IdentityValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IdentityValue::Str(s) => f.write_str(s),
+            IdentityValue::U64(n) => write!(f, "{n}"),
+            IdentityValue::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+        }
+    }
+}
+
+impl From<IdentityValue> for Value {
+    fn from(v: IdentityValue) -> Self {
+        match v {
+            IdentityValue::Str(s) => Value::from(s),
+            IdentityValue::U64(n) => Value::U64(n),
+            IdentityValue::Bool(b) => Value::Bool(b),
+        }
+    }
+}
+
+/// What an absent instruction cache encodes as.
+const NO_ICACHE: CacheConfig = CacheConfig {
+    size_bytes: 0,
+    prefetch: false,
+    ideal: false,
+    miss_penalty: 0,
+};
+
+/// The encoder: the values of [`IDENTITY_KEYS`] for one design point,
+/// in key order. The configuration and its nested knobs are
+/// destructured exhaustively, so a new knob fails to compile here
+/// until it is named.
+pub fn identity_values(config: &SystemConfig, workload: Workload) -> [IdentityValue; 15] {
+    use IdentityValue::{Bool, Str, U64};
     let SystemConfig {
         curve,
         arch,
@@ -123,64 +216,187 @@ pub fn config_identity(config: &SystemConfig, workload: Workload) -> String {
         gating,
         billie_sram_rf,
     } = *config;
-    let mut s = String::new();
-    let mut kv = |k: &str, v: &str| {
-        s.push_str(k);
+    let CacheConfig {
+        size_bytes,
+        prefetch,
+        ideal,
+        miss_penalty,
+    } = icache.unwrap_or(NO_ICACHE);
+    let MonteConfig {
+        double_buffer,
+        forwarding,
+        queue_depth,
+    } = monte;
+    [
+        Str(curve.name()),
+        Str(arch_key(arch)),
+        Str(workload_key(workload)),
+        Bool(icache.is_some()),
+        U64(size_bytes.into()),
+        Bool(prefetch),
+        Bool(ideal),
+        U64(miss_penalty.into()),
+        Bool(double_buffer),
+        Bool(forwarding),
+        U64(queue_depth as u64),
+        U64(billie_digit as u64),
+        Str(mult_variant_key(mult_variant)),
+        Str(gating_key(gating)),
+        Bool(billie_sram_rf),
+    ]
+}
+
+/// Pushes the [`IDENTITY_KEYS`] of one design point onto a record, in
+/// key order.
+pub fn push_identity(r: &mut Record, config: &SystemConfig, workload: Workload) {
+    for (key, value) in IDENTITY_KEYS
+        .into_iter()
+        .zip(identity_values(config, workload))
+    {
+        r.push(key, value);
+    }
+}
+
+/// The canonical identity string of one design point: every
+/// [`IDENTITY_KEYS`] entry as `key=value|`, in key order. The join key
+/// of `repro diff` and of journal resume; a parsed record's identity
+/// is this string of what [`decode_identity`] reads back.
+pub fn config_identity(config: &SystemConfig, workload: Workload) -> String {
+    let mut s = String::with_capacity(384);
+    for (key, value) in IDENTITY_KEYS
+        .into_iter()
+        .zip(identity_values(config, workload))
+    {
+        s.push_str(key);
         s.push('=');
-        s.push_str(v);
+        let _ = write!(s, "{value}");
         s.push('|');
-    };
-    kv("curve", curve.name());
-    kv("arch", arch_key(arch));
-    kv("workload", workload_key(workload));
-    kv(
-        "icache_present",
-        if icache.is_some() { "true" } else { "false" },
-    );
-    kv(
-        "icache_size_bytes",
-        &icache.map(|c| c.size_bytes as u64).unwrap_or(0).to_string(),
-    );
-    kv(
-        "icache_prefetch",
-        if icache.map(|c| c.prefetch).unwrap_or(false) {
-            "true"
-        } else {
-            "false"
-        },
-    );
-    kv(
-        "icache_ideal",
-        if icache.map(|c| c.ideal).unwrap_or(false) {
-            "true"
-        } else {
-            "false"
-        },
-    );
-    kv(
-        "icache_miss_penalty",
-        &icache
-            .map(|c| c.miss_penalty as u64)
-            .unwrap_or(0)
-            .to_string(),
-    );
-    kv(
-        "monte_double_buffer",
-        if monte.double_buffer { "true" } else { "false" },
-    );
-    kv(
-        "monte_forwarding",
-        if monte.forwarding { "true" } else { "false" },
-    );
-    kv("monte_queue_depth", &(monte.queue_depth as u64).to_string());
-    kv("billie_digit", &(billie_digit as u64).to_string());
-    kv("mult_variant", mult_variant_key(mult_variant));
-    kv("gating", gating_key(gating));
-    kv(
-        "billie_sram_rf",
-        if billie_sram_rf { "true" } else { "false" },
-    );
+    }
     s
+}
+
+/// What is wrong with one identity key of a record.
+#[derive(Clone, Debug, PartialEq)]
+pub enum IdentityProblem {
+    /// The key is absent.
+    Missing,
+    /// The value has the wrong JSON type (`"a string"`, …).
+    WrongType(&'static str),
+    /// The string is no stable identifier of this knob.
+    Unknown(String),
+    /// A Billie digit outside [`BILLIE_DIGIT_RANGE`].
+    Invalid(SpaceError),
+    /// The curve/arch/workload triple is not simulable.
+    Unsupported(WorkloadError),
+    /// Not the value the decoded configuration encodes to (an absent
+    /// I$ with a nonzero size, an integer wider than its knob).
+    NotCanonical(IdentityValue),
+}
+
+/// A record's identity keys name no design point: the offending key
+/// and what is wrong with it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct IdentityError {
+    /// One of [`IDENTITY_KEYS`].
+    pub key: &'static str,
+    /// What is wrong with its value.
+    pub problem: IdentityProblem,
+}
+
+impl fmt::Display for IdentityError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "identity key {:?}: ", self.key)?;
+        match &self.problem {
+            IdentityProblem::Missing => write!(f, "missing"),
+            IdentityProblem::WrongType(t) => write!(f, "expected {t}"),
+            IdentityProblem::Unknown(s) => write!(f, "unknown value {s:?}"),
+            IdentityProblem::Invalid(e) => write!(f, "{e}"),
+            IdentityProblem::Unsupported(e) => write!(f, "{e}"),
+            IdentityProblem::NotCanonical(v) => write!(f, "the point it names encodes it as {v}"),
+        }
+    }
+}
+
+impl std::error::Error for IdentityError {}
+
+fn at(key: &'static str, problem: IdentityProblem) -> IdentityError {
+    IdentityError { key, problem }
+}
+
+/// `doc[key]` read by `as_t`, which names the JSON type it expects.
+fn get<'a, T>(
+    doc: &'a Json,
+    key: &'static str,
+    what: &'static str,
+    as_t: impl Fn(&'a Json) -> Option<T>,
+) -> Result<T, IdentityError> {
+    let v = doc.get(key).ok_or(at(key, IdentityProblem::Missing))?;
+    as_t(v).ok_or(at(key, IdentityProblem::WrongType(what)))
+}
+
+/// `doc[key]` read through an exact key inverse.
+fn keyed<T>(
+    doc: &Json,
+    key: &'static str,
+    from_key: fn(&str) -> Option<T>,
+) -> Result<T, IdentityError> {
+    let s = get(doc, key, "a string", Json::as_str)?;
+    from_key(s).ok_or_else(|| at(key, IdentityProblem::Unknown(s.to_owned())))
+}
+
+/// The decoder: the design point a parsed record's [`IDENTITY_KEYS`]
+/// name — the exact inverse of [`identity_values`]. A value that is
+/// missing, mistyped or impossible (a triple [`crate::validate_workload`]
+/// refuses, a digit outside [`BILLIE_DIGIT_RANGE`], anything the
+/// encoder would not write back verbatim) is an [`IdentityError`]
+/// naming the key.
+pub fn decode_identity(doc: &Json) -> Result<(SystemConfig, Workload), IdentityError> {
+    let int = |key| get(doc, key, "an integer", Json::as_u64);
+    let flag = |key| get(doc, key, "a boolean", Json::as_bool);
+    let curve = keyed(doc, "curve", curve_from_key)?;
+    let arch = keyed(doc, "arch", arch_from_key)?;
+    let workload = keyed(doc, "workload", workload_from_key)?;
+    crate::validate_workload(curve, arch, workload).map_err(|e| {
+        let key = match e {
+            WorkloadError::ArchCurveMismatch { .. } => "arch",
+            _ => "workload",
+        };
+        at(key, IdentityProblem::Unsupported(e))
+    })?;
+    let cache = CacheConfig {
+        size_bytes: int("icache_size_bytes")? as u32,
+        prefetch: flag("icache_prefetch")?,
+        ideal: flag("icache_ideal")?,
+        miss_penalty: int("icache_miss_penalty")? as u32,
+    };
+    let icache = flag("icache_present")?.then_some(cache);
+    let monte = MonteConfig {
+        double_buffer: flag("monte_double_buffer")?,
+        forwarding: flag("monte_forwarding")?,
+        queue_depth: int("monte_queue_depth")? as usize,
+    };
+    let billie_digit = int("billie_digit")? as usize;
+    if !BILLIE_DIGIT_RANGE.contains(&billie_digit) {
+        let e = SpaceError::InvalidDigit(billie_digit);
+        return Err(at("billie_digit", IdentityProblem::Invalid(e)));
+    }
+    let config = SystemConfig {
+        curve,
+        arch,
+        icache,
+        monte,
+        billie_digit,
+        mult_variant: keyed(doc, "mult_variant", mult_variant_from_key)?,
+        gating: keyed(doc, "gating", gating_from_key)?,
+        billie_sram_rf: flag("billie_sram_rf")?,
+    };
+    let encoded = identity_values(&config, workload);
+    for (key, value) in IDENTITY_KEYS.into_iter().zip(encoded) {
+        if !doc.get(key).is_some_and(|v| value.matches(v)) {
+            return Err(at(key, IdentityProblem::NotCanonical(value)));
+        }
+    }
+    Ok((config, workload))
 }
 
 /// Flattens one design point (config + workload + simulation report)
@@ -192,41 +408,8 @@ pub fn design_point_record(
 ) -> Record {
     let mut r = Record::new("design_point");
 
-    // Configuration. Exhaustive: a new config knob must be exported.
-    let SystemConfig {
-        curve,
-        arch,
-        icache,
-        monte,
-        billie_digit,
-        mult_variant,
-        gating,
-        billie_sram_rf,
-    } = *config;
-    r.push("curve", curve.name());
-    r.push("arch", arch_key(arch));
-    r.push("workload", workload_key(workload));
-    r.push("icache_present", icache.is_some());
-    r.push(
-        "icache_size_bytes",
-        icache.map(|c| c.size_bytes as u64).unwrap_or(0),
-    );
-    r.push(
-        "icache_prefetch",
-        icache.map(|c| c.prefetch).unwrap_or(false),
-    );
-    r.push("icache_ideal", icache.map(|c| c.ideal).unwrap_or(false));
-    r.push(
-        "icache_miss_penalty",
-        icache.map(|c| c.miss_penalty as u64).unwrap_or(0),
-    );
-    r.push("monte_double_buffer", monte.double_buffer);
-    r.push("monte_forwarding", monte.forwarding);
-    r.push("monte_queue_depth", monte.queue_depth as u64);
-    r.push("billie_digit", billie_digit as u64);
-    r.push("mult_variant", mult_variant_key(mult_variant));
-    r.push("gating", gating_key(gating));
-    r.push("billie_sram_rf", billie_sram_rf);
+    // Configuration: the identity codec names every knob.
+    push_identity(&mut r, config, workload);
 
     // Headline results (area is a pure function of the config — the
     // third objective of the `ule-dse` Pareto frontiers).
@@ -408,9 +591,51 @@ mod tests {
         for w in WORKLOADS {
             assert_eq!(workload_from_key(workload_key(w)), Some(w));
         }
+        for v in MULT_VARIANTS {
+            assert_eq!(mult_variant_from_key(mult_variant_key(v)), Some(v));
+        }
+        for g in GATINGS {
+            assert_eq!(gating_from_key(gating_key(g)), Some(g));
+        }
+        for c in CurveId::ALL.into_iter().chain(CurveId::XCURVES) {
+            assert_eq!(curve_from_key(c.name()), Some(c));
+        }
         // Keys are exact: the CLI's dash spellings are not keys.
         assert_eq!(arch_from_key("isa-ext"), None);
         assert_eq!(workload_from_key("sign-verify"), None);
+        assert_eq!(curve_from_key("P192"), None);
+    }
+
+    #[test]
+    fn decoder_names_the_key_it_refuses() {
+        let cfg = SystemConfig::new(CurveId::K163, Arch::Billie).with_billie_digit(5);
+        let mut r = Record::new("design_point");
+        push_identity(&mut r, &cfg, Workload::ScalarMul);
+        let line = r.to_json();
+        let decode = |from: &str, to: &str| {
+            let doc = ule_obs::json::parse(&line.replace(from, to)).unwrap();
+            decode_identity(&doc)
+        };
+        assert_eq!(decode("", ""), Ok((cfg, Workload::ScalarMul)));
+        let refused = |from, to| decode(from, to).unwrap_err();
+        let e = refused(r#""gating":"none","#, "");
+        assert_eq!((e.key, e.problem), ("gating", IdentityProblem::Missing));
+        let e = refused(r#""billie_digit":5"#, r#""billie_digit":"5""#);
+        assert_eq!(e.problem, IdentityProblem::WrongType("an integer"));
+        let e = refused(r#""mult_variant":"karatsuba""#, r#""mult_variant":"booth""#);
+        assert_eq!(e.problem, IdentityProblem::Unknown("booth".into()));
+        let e = refused(r#""billie_digit":5"#, r#""billie_digit":17"#);
+        assert_eq!(e.key, "billie_digit");
+        let e = refused(r#""workload":"scalar_mul""#, r#""workload":"xdh""#);
+        assert_eq!(e.key, "workload");
+        // An absent I$ with a size is not what the encoder writes.
+        let e = refused(r#""icache_size_bytes":0"#, r#""icache_size_bytes":4096"#);
+        let problem = IdentityProblem::NotCanonical(IdentityValue::U64(0));
+        assert_eq!((e.key, &e.problem), ("icache_size_bytes", &problem));
+        assert_eq!(
+            e.to_string(),
+            r#"identity key "icache_size_bytes": the point it names encodes it as 0"#
+        );
     }
 
     #[test]
@@ -424,30 +649,6 @@ mod tests {
         assert_eq!(rec.get("cycles"), Some(&ule_obs::Value::U64(report.cycles)));
         // Non-profiled run: no profile field.
         assert!(rec.get("profile").is_none());
-    }
-
-    #[test]
-    fn config_identity_matches_serialized_record_round_trip() {
-        // The identity built from the live config must equal the one a
-        // journal/diff reader reconstructs from the serialized record.
-        let cfg = SystemConfig::new(CurveId::K163, Arch::Billie)
-            .with_billie_digit(5)
-            .with_billie_sram_rf(true);
-        let report = System::new(cfg).run_with(RunOptions::new(Workload::ScalarMul));
-        let rec = design_point_record(&cfg, Workload::ScalarMul, &report);
-        let doc = ule_obs::json::parse(&rec.to_json()).unwrap();
-        let mut reparsed = String::new();
-        for key in IDENTITY_KEYS {
-            let v = doc.get(key).unwrap();
-            let s = match v {
-                ule_obs::json::Json::Bool(b) => b.to_string(),
-                ule_obs::json::Json::U64(n) => n.to_string(),
-                ule_obs::json::Json::Str(s) => s.clone(),
-                other => panic!("unexpected identity value {other:?}"),
-            };
-            reparsed.push_str(&format!("{key}={s}|"));
-        }
-        assert_eq!(config_identity(&cfg, Workload::ScalarMul), reparsed);
     }
 
     #[test]

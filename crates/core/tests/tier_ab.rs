@@ -2,12 +2,15 @@
 //! cache + fused superinstructions) must produce reports that are
 //! bit-identical to the instrumented reference interpreter — same
 //! cycles, same `Counters`, same `RawStats`, same energy — on real
-//! sign+verify workloads across the architecture classes.
+//! workloads across the architecture classes.
 //!
-//! The default test covers the two cheap curves (one prime, one
-//! binary) on all four architecture classes; the `#[ignore]`d
-//! exhaustive variant sweeps all ten curves (minutes of wall-clock —
-//! run with `cargo test -p ule-core --test tier_ab -- --ignored`).
+//! The default test covers sign+verify on the two cheap ECDSA curves
+//! (one prime, one binary) on all four architecture classes, plus the
+//! X25519 ladder (`Xdh`, and `Handshake` with its companion-curve
+//! ECDSA) on baseline and Monte. The `#[ignore]`d exhaustive variant
+//! sweeps all ten ECDSA curves and both RFC 7748 ladder curves
+//! (minutes of wall-clock — run with
+//! `cargo test -p ule-core --test tier_ab -- --ignored`).
 
 use ule_core::{RunOptions, System, SystemConfig, Workload};
 use ule_curves::params::CurveId;
@@ -53,6 +56,11 @@ fn fast_and_reference_tiers_agree_on_cheap_curves() {
             assert_tiers_identical(cfg, Workload::SignVerify);
         }
     }
+    for arch in [Arch::Baseline, Arch::Monte] {
+        for workload in [Workload::Xdh, Workload::Handshake] {
+            assert_tiers_identical(SystemConfig::new(CurveId::X25519, arch), workload);
+        }
+    }
 }
 
 /// A profiled reference run and an unprofiled fast run must also agree
@@ -72,11 +80,18 @@ fn profiled_reference_equals_unprofiled_fast() {
 }
 
 #[test]
-#[ignore = "exhaustive ten-curve sweep; minutes of wall-clock"]
+#[ignore = "exhaustive twelve-curve sweep; minutes of wall-clock"]
 fn fast_and_reference_tiers_agree_on_all_curves() {
     for id in CurveId::ALL {
         for cfg in configs_for(id) {
             assert_tiers_identical(cfg, Workload::SignVerify);
+        }
+    }
+    for id in CurveId::XCURVES {
+        for cfg in configs_for(id) {
+            for workload in [Workload::Xdh, Workload::Handshake] {
+                assert_tiers_identical(cfg, workload);
+            }
         }
     }
 }

@@ -237,38 +237,17 @@ pub fn explore(
     };
 
     if let Some(path) = out {
-        let mut text = String::new();
-        for line in lines.iter().flatten() {
-            text.push_str(line);
-            text.push('\n');
-        }
-        for e in &outcome.frontier {
-            text.push_str(
-                &journal::frontier_record(
-                    &outcome.space,
-                    e.rank,
-                    &e.config,
-                    outcome.workload,
-                    &e.objectives,
-                )
-                .to_json(),
-            );
-            text.push('\n');
-        }
-        text.push_str(
-            &journal::dse_summary_record(
-                &outcome.space,
-                outcome.workload,
-                &outcome.strategy,
-                outcome.seed,
-                outcome.lattice_points,
-                outcome.pruned,
-                outcome.evaluated,
-                outcome.frontier.len(),
-            )
-            .to_json(),
-        );
-        text.push('\n');
+        let frontier = outcome
+            .frontier
+            .iter()
+            .map(|e| journal::frontier_record(&outcome.space, outcome.workload, e));
+        let records = frontier.chain([journal::dse_summary_record(&outcome)]);
+        let text: String = lines
+            .into_iter()
+            .flatten()
+            .chain(records.map(|r| r.to_json()))
+            .map(|line| line + "\n")
+            .collect();
         fs::write(path, text)?;
     }
     Ok(outcome)
@@ -337,82 +316,6 @@ pub fn label(config: &SystemConfig) -> String {
         s.push_str(&format!(" {}-gated", gating_key(config.gating)));
     }
     s
-}
-
-/// Reconstructs a finished exploration from its canonical journal —
-/// the basis of `repro explore --report`, which must not re-simulate.
-/// Requires at least the `frontier` records and the `dse_summary`; the
-/// per-run `resumed`/`simulated` counts are not journaled (they are
-/// resume-dependent) and come back as zero.
-pub fn outcome_from_journal(text: &str) -> Result<ExploreOutcome, String> {
-    use ule_obs::json;
-    let mut frontier = Vec::new();
-    let mut summary = None;
-    for (n, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = json::parse(line).ok_or_else(|| format!("line {}: not valid JSON", n + 1))?;
-        match doc.get("record").and_then(|v| v.as_str()) {
-            Some("frontier") => {
-                let rank = doc
-                    .get("rank")
-                    .and_then(|v| v.as_u64())
-                    .ok_or_else(|| format!("line {}: frontier without rank", n + 1))?;
-                let (config, _workload) = journal::config_from_record(&doc)?;
-                let objectives = Objectives {
-                    cycles: doc
-                        .get("cycles")
-                        .and_then(|v| v.as_u64())
-                        .ok_or_else(|| format!("line {}: frontier without cycles", n + 1))?,
-                    energy_uj: doc
-                        .get("energy_uj")
-                        .and_then(|v| v.as_f64())
-                        .ok_or_else(|| format!("line {}: frontier without energy_uj", n + 1))?,
-                    area_kge: doc
-                        .get("area_kge")
-                        .and_then(|v| v.as_f64())
-                        .ok_or_else(|| format!("line {}: frontier without area_kge", n + 1))?,
-                };
-                frontier.push(FrontierEntry {
-                    rank: rank as usize,
-                    config,
-                    objectives,
-                });
-            }
-            Some("dse_summary") => {
-                let get_str = |key: &str| {
-                    doc.get(key)
-                        .and_then(|v| v.as_str())
-                        .map(str::to_owned)
-                        .ok_or_else(|| format!("line {}: summary missing {key:?}", n + 1))
-                };
-                let get_u64 = |key: &str| {
-                    doc.get(key)
-                        .and_then(|v| v.as_u64())
-                        .ok_or_else(|| format!("line {}: summary missing {key:?}", n + 1))
-                };
-                summary = Some(ExploreOutcome {
-                    space: get_str("space")?,
-                    workload: crate::spaces::parse_workload(&get_str("workload")?)?,
-                    strategy: get_str("strategy")?,
-                    seed: get_u64("seed")?,
-                    lattice_points: get_u64("lattice_points")? as usize,
-                    pruned: get_u64("pruned")? as usize,
-                    evaluated: get_u64("evaluated")? as usize,
-                    resumed: 0,
-                    simulated: 0,
-                    frontier: Vec::new(),
-                });
-            }
-            _ => {}
-        }
-    }
-    let mut outcome =
-        summary.ok_or("journal has no dse_summary record (incomplete exploration?)")?;
-    frontier.sort_by_key(|e| e.rank);
-    outcome.frontier = frontier;
-    Ok(outcome)
 }
 
 /// Renders the frontier table of a finished exploration, with each

@@ -1,4 +1,4 @@
-//! The resumable exploration journal (JSONL) and its validator.
+//! The resumable exploration journal (JSONL) and its one strict reader.
 //!
 //! During a run the explorer *appends* one `design_point` record per
 //! evaluated point — crash-safe progress. On successful completion it
@@ -8,72 +8,39 @@
 //! function of (space, evaluated set), the completed journal is
 //! byte-identical across re-runs, resumes, and thread counts.
 //!
-//! Resume parses `design_point` lines back by their *identity* (the
-//! [`ule_core::metrics::config_identity`] string) and skips anything it
-//! does not understand — a torn final line from a killed run, or record
-//! kinds from a future schema — so a journal is never a worse starting
-//! point than an empty file.
+//! Every identity goes through the `ule_core::metrics` codec: records
+//! are written with [`push_identity`] and read back with
+//! [`decode_identity`], so resume, `repro check --journal`, `repro
+//! explore --report` and `repro diff` agree on which lines name a
+//! design point; `check` and `--report` share [`read_journal`].
+//! Resume keys `design_point` lines by that identity and skips
+//! anything it does not understand — a torn final line from a killed
+//! run, an identity the codec refuses, or record kinds from a future
+//! schema — so a journal is never a worse starting point than an empty
+//! file.
 
+use crate::explore::{ExploreOutcome, FrontierEntry};
 use crate::pareto::Objectives;
-use std::collections::HashMap;
-use ule_core::metrics::{arch_key, gating_key, mult_variant_key, workload_key, IDENTITY_KEYS};
+use std::collections::{HashMap, HashSet};
+use ule_core::metrics::{
+    config_identity, decode_identity, push_identity, workload_from_key, workload_key,
+};
 use ule_core::{SystemConfig, Workload};
 use ule_obs::json::{self, Json};
 use ule_obs::record::Record;
 
-/// Pushes the 15 identity keys of one design point onto a record, in
-/// [`IDENTITY_KEYS`] order with the same value formatting as
-/// `design_point_record`.
-pub fn push_identity(r: &mut Record, config: &SystemConfig, workload: Workload) {
-    let SystemConfig {
-        curve,
-        arch,
-        icache,
-        monte,
-        billie_digit,
-        mult_variant,
-        gating,
-        billie_sram_rf,
-    } = *config;
-    r.push("curve", curve.name());
-    r.push("arch", arch_key(arch));
-    r.push("workload", workload_key(workload));
-    r.push("icache_present", icache.is_some());
-    r.push(
-        "icache_size_bytes",
-        icache.map(|c| c.size_bytes as u64).unwrap_or(0),
-    );
-    r.push(
-        "icache_prefetch",
-        icache.map(|c| c.prefetch).unwrap_or(false),
-    );
-    r.push("icache_ideal", icache.map(|c| c.ideal).unwrap_or(false));
-    r.push(
-        "icache_miss_penalty",
-        icache.map(|c| c.miss_penalty as u64).unwrap_or(0),
-    );
-    r.push("monte_double_buffer", monte.double_buffer);
-    r.push("monte_forwarding", monte.forwarding);
-    r.push("monte_queue_depth", monte.queue_depth as u64);
-    r.push("billie_digit", billie_digit as u64);
-    r.push("mult_variant", mult_variant_key(mult_variant));
-    r.push("gating", gating_key(gating));
-    r.push("billie_sram_rf", billie_sram_rf);
-}
-
 /// One `frontier` record: rank, the point's identity, and its three
 /// objectives. Nothing run-dependent, so a space's frontier lines can
 /// be pinned as a golden file and compared with a literal `diff`.
-pub fn frontier_record(
-    space: &str,
-    rank: usize,
-    config: &SystemConfig,
-    workload: Workload,
-    objectives: &Objectives,
-) -> Record {
+pub fn frontier_record(space: &str, workload: Workload, entry: &FrontierEntry) -> Record {
+    let FrontierEntry {
+        rank,
+        config,
+        objectives,
+    } = entry;
     let mut r = Record::new("frontier");
     r.push("space", space);
-    r.push("rank", rank as u64);
+    r.push("rank", *rank);
     push_identity(&mut r, config, workload);
     r.push("cycles", objectives.cycles);
     r.push("energy_uj", objectives.energy_uj);
@@ -82,76 +49,19 @@ pub fn frontier_record(
 }
 
 /// The closing `dse_summary` record. Deliberately excludes anything
-/// resume-dependent (how many points came from a previous journal):
-/// a resumed run and a fresh one finish with the same summary.
-#[allow(clippy::too_many_arguments)]
-pub fn dse_summary_record(
-    space: &str,
-    workload: Workload,
-    strategy: &str,
-    seed: u64,
-    lattice_points: usize,
-    pruned: usize,
-    evaluated: usize,
-    frontier_size: usize,
-) -> Record {
+/// resume-dependent (`resumed`, `simulated`): a resumed run and a
+/// fresh one finish with the same summary.
+pub fn dse_summary_record(outcome: &ExploreOutcome) -> Record {
     let mut r = Record::new("dse_summary");
-    r.push("space", space);
-    r.push("workload", workload_key(workload));
-    r.push("strategy", strategy);
-    r.push("seed", seed);
-    r.push("lattice_points", lattice_points as u64);
-    r.push("pruned", pruned as u64);
-    r.push("evaluated", evaluated as u64);
-    r.push("frontier_size", frontier_size as u64);
+    r.push("space", outcome.space.as_str());
+    r.push("workload", workload_key(outcome.workload));
+    r.push("strategy", outcome.strategy.as_str());
+    r.push("seed", outcome.seed);
+    r.push("lattice_points", outcome.lattice_points);
+    r.push("pruned", outcome.pruned);
+    r.push("evaluated", outcome.evaluated);
+    r.push("frontier_size", outcome.frontier.len());
     r
-}
-
-/// Reconstructs the configuration and workload a record's identity
-/// keys describe — the inverse of [`push_identity`], used by
-/// `repro explore --report` to rebuild frontier configs from a journal
-/// without re-running the exploration.
-pub fn config_from_record(doc: &Json) -> Result<(SystemConfig, Workload), String> {
-    let get_str = |key: &str| {
-        doc.get(key)
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("record: missing string {key:?}"))
-    };
-    let get_u64 = |key: &str| {
-        doc.get(key)
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("record: missing integer {key:?}"))
-    };
-    let get_bool = |key: &str| {
-        doc.get(key)
-            .and_then(|v| v.as_bool())
-            .ok_or_else(|| format!("record: missing boolean {key:?}"))
-    };
-    let curve = crate::spaces::parse_curve(get_str("curve")?)?;
-    let arch = crate::spaces::parse_arch(get_str("arch")?)?;
-    let workload = crate::spaces::parse_workload(get_str("workload")?)?;
-    let icache = if get_bool("icache_present")? {
-        Some(ule_pete::icache::CacheConfig {
-            size_bytes: get_u64("icache_size_bytes")? as u32,
-            prefetch: get_bool("icache_prefetch")?,
-            ideal: get_bool("icache_ideal")?,
-            miss_penalty: get_u64("icache_miss_penalty")? as u32,
-        })
-    } else {
-        None
-    };
-    let mut config = SystemConfig::new(curve, arch);
-    config.icache = icache;
-    config.monte = ule_monte::MonteConfig {
-        double_buffer: get_bool("monte_double_buffer")?,
-        forwarding: get_bool("monte_forwarding")?,
-        queue_depth: get_u64("monte_queue_depth")? as usize,
-    };
-    config.billie_digit = get_u64("billie_digit")? as usize;
-    config.mult_variant = crate::spaces::parse_mult_variant(get_str("mult_variant")?)?;
-    config.gating = crate::spaces::parse_gating(get_str("gating")?)?;
-    config.billie_sram_rf = get_bool("billie_sram_rf")?;
-    Ok((config, workload))
 }
 
 /// One design point recovered from a journal.
@@ -168,47 +78,55 @@ pub struct ResumedPoint {
     pub line: String,
 }
 
-fn identity_of(doc: &Json) -> Option<String> {
-    let mut s = String::new();
-    for key in IDENTITY_KEYS {
-        let v = doc.get(key)?;
-        match v {
-            Json::Bool(b) => s.push_str(&format!("{key}={b}|")),
-            Json::U64(n) => s.push_str(&format!("{key}={n}|")),
-            Json::Str(t) => s.push_str(&format!("{key}={t}|")),
-            _ => return None,
-        }
-    }
-    Some(s)
+/// A field of a journal record, typed.
+fn field<'a, T>(
+    doc: &'a Json,
+    ctx: &str,
+    key: &str,
+    what: &str,
+    as_t: impl Fn(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    let v = doc
+        .get(key)
+        .ok_or_else(|| format!("{ctx}: missing {key:?}"))?;
+    as_t(v).ok_or_else(|| format!("{ctx}: {key:?} must be {what}"))
+}
+
+/// The identity string, configuration and headline objectives of a
+/// `design_point` or `frontier` record.
+fn point(doc: &Json, ctx: &str) -> Result<(String, SystemConfig, u64, f64), String> {
+    let (config, workload) = decode_identity(doc).map_err(|e| format!("{ctx}: {e}"))?;
+    Ok((
+        config_identity(&config, workload),
+        config,
+        field(doc, ctx, "cycles", "an integer", Json::as_u64)?,
+        field(doc, ctx, "energy_uj", "a number", Json::as_f64)?,
+    ))
 }
 
 /// Parses the `design_point` lines of a (possibly torn or partial)
 /// journal, keyed by identity. Unknown record kinds, malformed lines,
-/// and design points missing required fields are skipped — their count
-/// comes back alongside the map. Later lines win on duplicate identity.
+/// and design points [`read_journal`] would refuse are skipped — their
+/// count comes back alongside the map. Later lines win on duplicate
+/// identity.
 pub fn parse_design_points(text: &str) -> (HashMap<String, ResumedPoint>, usize) {
     let mut points = HashMap::new();
     let mut skipped = 0;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = json::parse(line).and_then(|doc| {
-            if doc.get("record")?.as_str()? != "design_point" {
-                return None;
-            }
-            Some((
-                identity_of(&doc)?,
-                ResumedPoint {
-                    cycles: doc.get("cycles")?.as_u64()?,
-                    energy_uj: doc.get("energy_uj")?.as_f64()?,
-                    line: line.to_owned(),
-                },
-            ))
-        });
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let parsed = json::parse(line)
+            .filter(|doc| doc.get("record").and_then(Json::as_str) == Some("design_point"))
+            .and_then(|doc| point(&doc, "").ok());
         match parsed {
-            Some((identity, point)) => {
-                points.insert(identity, point);
+            Some((identity, _, cycles, energy_uj)) => {
+                let line = line.to_owned();
+                points.insert(
+                    identity,
+                    ResumedPoint {
+                        cycles,
+                        energy_uj,
+                        line,
+                    },
+                );
             }
             None => skipped += 1,
         }
@@ -216,7 +134,7 @@ pub fn parse_design_points(text: &str) -> (HashMap<String, ResumedPoint>, usize)
     (points, skipped)
 }
 
-/// What a validated journal contains.
+/// What a journal contains.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JournalStats {
     /// `design_point` records.
@@ -225,93 +143,113 @@ pub struct JournalStats {
     pub frontier_points: usize,
     /// `dse_summary` records.
     pub summaries: usize,
-    /// Records of kinds this validator does not know (tolerated, per
-    /// the skip-and-count forward-compatibility rule).
+    /// Records of kinds this reader does not know (tolerated, per the
+    /// skip-and-count forward-compatibility rule).
     pub unknown: usize,
 }
 
-fn require<'a>(doc: &'a Json, ctx: &str, key: &str) -> Result<&'a Json, String> {
-    doc.get(key)
-        .ok_or_else(|| format!("{ctx}: missing {key:?}"))
+/// An exploration journal as [`read_journal`] reads it.
+#[derive(Clone, Debug)]
+pub struct Journal {
+    /// What it contains.
+    pub stats: JournalStats,
+    /// The finished exploration its `dse_summary` and `frontier`
+    /// records describe; `None` without a summary (an incomplete run).
+    /// The per-run `resumed`/`simulated` counts are resume-dependent,
+    /// not journaled, and come back as zero.
+    pub outcome: Option<ExploreOutcome>,
 }
 
-/// Structurally validates an exploration journal (`repro check
-/// --journal`): every line is valid JSON with a record kind and schema
-/// version; design points carry their identity and objectives;
+/// Reads an exploration journal strictly — the one reader behind both
+/// `repro check --journal` and `repro explore --report` (which must
+/// not re-simulate). Every line is valid JSON with a record kind and
+/// schema version; design points and frontier points carry an identity
+/// the `ule_core::metrics` codec decodes, and their objectives;
 /// frontier ranks are contiguous in file order and every frontier
 /// point's identity also appears as a design point; the summary's
 /// counts agree with the records around it.
-pub fn validate_journal(text: &str) -> Result<JournalStats, String> {
+pub fn read_journal(text: &str) -> Result<Journal, String> {
     let mut stats = JournalStats::default();
-    let mut design_identities: Vec<String> = Vec::new();
-    let mut frontier_identities: Vec<String> = Vec::new();
-    let mut summary: Option<(u64, u64)> = None; // (evaluated, frontier_size)
+    let mut design_identities = HashSet::new();
+    let mut frontier: Vec<(String, FrontierEntry)> = Vec::new();
+    let mut summary: Option<(ExploreOutcome, u64)> = None; // (outcome, frontier_size)
     for (n, line) in text.lines().enumerate() {
         let n = n + 1;
         if line.trim().is_empty() {
             continue;
         }
         let doc = json::parse(line).ok_or_else(|| format!("line {n}: not valid JSON"))?;
-        let kind = require(&doc, &format!("line {n}"), "record")?
-            .as_str()
-            .ok_or_else(|| format!("line {n}: \"record\" must be a string"))?
-            .to_owned();
-        require(&doc, &format!("line {n}"), "schema_version")?
-            .as_u64()
-            .ok_or_else(|| format!("line {n}: \"schema_version\" must be an integer"))?;
+        let kind = field(
+            &doc,
+            &format!("line {n}"),
+            "record",
+            "a string",
+            Json::as_str,
+        )?;
+        field(
+            &doc,
+            &format!("line {n}"),
+            "schema_version",
+            "an integer",
+            Json::as_u64,
+        )?;
         let ctx = format!("line {n} ({kind})");
-        match kind.as_str() {
+        match kind {
             "design_point" => {
-                let id =
-                    identity_of(&doc).ok_or_else(|| format!("{ctx}: incomplete identity keys"))?;
-                require(&doc, &ctx, "cycles")?;
-                require(&doc, &ctx, "energy_uj")?;
-                design_identities.push(id);
+                design_identities.insert(point(&doc, &ctx)?.0);
                 stats.design_points += 1;
             }
             "frontier" => {
-                require(&doc, &ctx, "space")?;
-                let rank = require(&doc, &ctx, "rank")?
-                    .as_u64()
-                    .ok_or_else(|| format!("{ctx}: \"rank\" must be an integer"))?;
-                if rank as usize != frontier_identities.len() {
+                field(&doc, &ctx, "space", "a string", Json::as_str)?;
+                let rank = field(&doc, &ctx, "rank", "an integer", Json::as_u64)? as usize;
+                if rank != frontier.len() {
                     return Err(format!(
                         "{ctx}: rank {rank} out of order (expected {})",
-                        frontier_identities.len()
+                        frontier.len()
                     ));
                 }
-                let id =
-                    identity_of(&doc).ok_or_else(|| format!("{ctx}: incomplete identity keys"))?;
-                require(&doc, &ctx, "cycles")?;
-                require(&doc, &ctx, "energy_uj")?;
-                require(&doc, &ctx, "area_kge")?;
-                frontier_identities.push(id);
+                let (identity, config, cycles, energy_uj) = point(&doc, &ctx)?;
+                let area_kge = field(&doc, &ctx, "area_kge", "a number", Json::as_f64)?;
+                let objectives = Objectives {
+                    cycles,
+                    energy_uj,
+                    area_kge,
+                };
+                frontier.push((
+                    identity,
+                    FrontierEntry {
+                        rank,
+                        config,
+                        objectives,
+                    },
+                ));
                 stats.frontier_points += 1;
             }
             "dse_summary" => {
-                for key in [
-                    "space",
-                    "workload",
-                    "strategy",
-                    "seed",
-                    "lattice_points",
-                    "pruned",
-                ] {
-                    require(&doc, &ctx, key)?;
-                }
-                let evaluated = require(&doc, &ctx, "evaluated")?
-                    .as_u64()
-                    .ok_or_else(|| format!("{ctx}: \"evaluated\" must be an integer"))?;
-                let frontier_size = require(&doc, &ctx, "frontier_size")?
-                    .as_u64()
-                    .ok_or_else(|| format!("{ctx}: \"frontier_size\" must be an integer"))?;
-                summary = Some((evaluated, frontier_size));
+                let text = |key| field(&doc, &ctx, key, "a string", Json::as_str);
+                let count = |key| field(&doc, &ctx, key, "an integer", Json::as_u64);
+                let workload =
+                    crate::spaces::keyed("workload", text("workload")?, workload_from_key)
+                        .map_err(|e| format!("{ctx}: {e}"))?;
+                let outcome = ExploreOutcome {
+                    space: text("space")?.to_owned(),
+                    workload,
+                    strategy: text("strategy")?.to_owned(),
+                    seed: count("seed")?,
+                    lattice_points: count("lattice_points")? as usize,
+                    pruned: count("pruned")? as usize,
+                    evaluated: count("evaluated")? as usize,
+                    resumed: 0,
+                    simulated: 0,
+                    frontier: Vec::new(),
+                };
+                summary = Some((outcome, count("frontier_size")?));
                 stats.summaries += 1;
             }
             _ => stats.unknown += 1,
         }
     }
-    for id in &frontier_identities {
+    for (id, _) in &frontier {
         if !design_identities.contains(id) {
             return Err(format!(
                 "frontier point {id:?} has no matching design_point record \
@@ -319,21 +257,25 @@ pub fn validate_journal(text: &str) -> Result<JournalStats, String> {
             ));
         }
     }
-    if let Some((evaluated, frontier_size)) = summary {
-        if evaluated as usize != stats.design_points {
+    if let Some((outcome, frontier_size)) = &mut summary {
+        if outcome.evaluated != stats.design_points {
             return Err(format!(
-                "dse_summary says evaluated={evaluated} but the journal has {} design points",
-                stats.design_points
+                "dse_summary says evaluated={} but the journal has {} design points",
+                outcome.evaluated, stats.design_points
             ));
         }
-        if frontier_size as usize != stats.frontier_points {
+        if *frontier_size as usize != stats.frontier_points {
             return Err(format!(
                 "dse_summary says frontier_size={frontier_size} but the journal has {} frontier records",
                 stats.frontier_points
             ));
         }
+        outcome.frontier = frontier.into_iter().map(|(_, e)| e).collect();
     }
-    Ok(stats)
+    Ok(Journal {
+        stats,
+        outcome: summary.map(|(outcome, _)| outcome),
+    })
 }
 
 #[cfg(test)]
@@ -353,6 +295,35 @@ mod tests {
             energy_uj: 6.5,
             area_kge: 210.25,
         }
+    }
+
+    fn entry(rank: usize) -> FrontierEntry {
+        FrontierEntry {
+            rank,
+            config: cfg(),
+            objectives: obj(),
+        }
+    }
+
+    fn frontier_line(rank: usize) -> String {
+        frontier_record("s", Workload::ScalarMul, &entry(rank)).to_json()
+    }
+
+    /// A summary of `evaluated` points and the given frontier.
+    fn summary_line(evaluated: usize, frontier: Vec<FrontierEntry>) -> String {
+        let outcome = ExploreOutcome {
+            space: "s".into(),
+            workload: Workload::ScalarMul,
+            strategy: "grid".into(),
+            seed: 7,
+            lattice_points: evaluated,
+            pruned: 0,
+            evaluated,
+            resumed: 0,
+            simulated: 0,
+            frontier,
+        };
+        dse_summary_record(&outcome).to_json()
     }
 
     fn design_line() -> String {
@@ -386,12 +357,15 @@ mod tests {
 
     #[test]
     fn validator_accepts_a_canonical_journal() {
-        let f = frontier_record("s", 0, &cfg(), Workload::ScalarMul, &obj());
-        let s = dse_summary_record("s", Workload::ScalarMul, "grid", 7, 1, 0, 1, 1);
-        let text = format!("{}\n{}\n{}\n", design_line(), f.to_json(), s.to_json());
-        let stats = validate_journal(&text).unwrap();
+        let (f, s) = (frontier_line(0), summary_line(1, vec![entry(0)]));
+        let text = format!("{}\n{f}\n{s}\n", design_line());
+        let journal = read_journal(&text).unwrap();
+        let outcome = journal.outcome.unwrap();
+        assert_eq!((outcome.evaluated, outcome.seed), (1, 7));
+        assert_eq!(outcome.frontier[0].config, cfg());
+        assert_eq!(outcome.frontier[0].objectives, obj());
         assert_eq!(
-            stats,
+            journal.stats,
             JournalStats {
                 design_points: 1,
                 frontier_points: 1,
@@ -404,26 +378,64 @@ mod tests {
     #[test]
     fn validator_rejects_inconsistencies() {
         // Frontier point without its design point.
-        let f = frontier_record("s", 0, &cfg(), Workload::ScalarMul, &obj());
-        let err = validate_journal(&format!("{}\n", f.to_json())).unwrap_err();
+        let err = read_journal(&format!("{}\n", frontier_line(0))).unwrap_err();
         assert!(err.contains("no matching design_point"), "{err}");
         // Out-of-order rank.
-        let f1 = frontier_record("s", 1, &cfg(), Workload::ScalarMul, &obj());
-        let err = validate_journal(&format!("{}\n{}\n", design_line(), f1.to_json())).unwrap_err();
+        let err = read_journal(&format!("{}\n{}\n", design_line(), frontier_line(1))).unwrap_err();
         assert!(err.contains("rank 1 out of order"), "{err}");
         // Summary count mismatch.
-        let s = dse_summary_record("s", Workload::ScalarMul, "grid", 7, 2, 0, 2, 0);
-        let err = validate_journal(&format!("{}\n{}\n", design_line(), s.to_json())).unwrap_err();
+        let s = summary_line(2, Vec::new());
+        let err = read_journal(&format!("{}\n{s}\n", design_line())).unwrap_err();
         assert!(err.contains("evaluated=2"), "{err}");
         // Torn line is a hard error here (unlike resume).
         let good = design_line();
-        assert!(validate_journal(&good[..good.len() / 2]).is_err());
+        assert!(read_journal(&good[..good.len() / 2]).is_err());
+    }
+
+    /// `design_line()` and a frontier line for it, with one identity
+    /// value rewritten.
+    fn impossible(from: &str, to: &str) -> (String, String) {
+        let design = design_line().replace(from, to);
+        let frontier = frontier_line(0).replace(from, to);
+        assert_ne!(design, design_line(), "{from} not in the line");
+        (design, frontier)
+    }
+
+    fn assert_refused(from: &str, to: &str, key: &str) {
+        let (design, frontier) = impossible(from, to);
+        for (line, kind) in [(&design, "design_point"), (&frontier, "frontier")] {
+            let err = read_journal(line).unwrap_err();
+            let named = format!("line 1 ({kind}): identity key {key:?}");
+            assert!(err.starts_with(&named), "{err}");
+        }
+        let (points, skipped) = parse_design_points(&design);
+        assert!(points.is_empty());
+        assert_eq!(skipped, 1);
+    }
+
+    #[test]
+    fn p192_on_billie_is_refused() {
+        assert_refused(r#""curve":"K-163""#, r#""curve":"P-192""#, "arch");
+    }
+
+    #[test]
+    fn billie_digit_zero_is_refused() {
+        assert_refused(r#""billie_digit":4"#, r#""billie_digit":0"#, "billie_digit");
+    }
+
+    #[test]
+    fn billie_digit_string_is_refused() {
+        assert_refused(
+            r#""billie_digit":4"#,
+            r#""billie_digit":"x""#,
+            "billie_digit",
+        );
     }
 
     #[test]
     fn unknown_kinds_are_counted_not_fatal() {
         let text = "{\"record\":\"future_thing\",\"schema_version\":9}\n";
-        let stats = validate_journal(text).unwrap();
+        let stats = read_journal(text).unwrap().stats;
         assert_eq!(stats.unknown, 1);
     }
 }

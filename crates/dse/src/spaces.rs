@@ -18,6 +18,9 @@
 //! optional array per axis (see [`parse_space_file`]); omitted axes
 //! keep the single-point default of [`SpaceSpec::new`].
 
+use ule_core::metrics::{
+    arch_from_key, curve_from_key, gating_from_key, mult_variant_from_key, workload_from_key,
+};
 use ule_core::space::{Axis, SpaceSpec};
 use ule_core::{MultVariant, Workload};
 use ule_curves::params::CurveId;
@@ -86,41 +89,20 @@ pub fn builtin(name: &str) -> Option<SpaceSpec> {
     }
 }
 
-pub(crate) fn parse_workload(s: &str) -> Result<Workload, String> {
-    ule_core::metrics::workload_from_key(s).ok_or_else(|| format!("unknown workload {s:?}"))
+/// Reads one stable identifier through the codec's exact key inverse
+/// (`ule_core::metrics::*_from_key`).
+pub(crate) fn keyed<T>(knob: &str, s: &str, from_key: fn(&str) -> Option<T>) -> Result<T, String> {
+    from_key(s).ok_or_else(|| format!("unknown {knob} {s:?}"))
 }
 
-pub(crate) fn parse_curve(s: &str) -> Result<CurveId, String> {
-    CurveId::ALL
-        .into_iter()
-        .chain(CurveId::XCURVES)
-        .find(|c| c.name() == s)
-        .ok_or_else(|| format!("unknown curve {s:?}"))
-}
-
-pub(crate) fn parse_arch(s: &str) -> Result<Arch, String> {
-    ule_core::metrics::arch_from_key(s).ok_or_else(|| format!("unknown arch {s:?}"))
-}
-
-pub(crate) fn parse_mult_variant(s: &str) -> Result<MultVariant, String> {
-    Ok(match s {
-        "karatsuba" => MultVariant::Karatsuba,
-        "operand_scan" => MultVariant::OperandScan,
-        "parallel" => MultVariant::Parallel,
-        other => return Err(format!("unknown mult_variant {other:?}")),
-    })
-}
-
-pub(crate) fn parse_gating(s: &str) -> Result<Gating, String> {
-    Ok(match s {
-        "none" => Gating::None,
-        "clock" => Gating::Clock,
-        "power" => Gating::Power,
-        other => return Err(format!("unknown gating {other:?}")),
-    })
-}
-
-fn str_items<'a>(doc: &'a Json, key: &str) -> Result<Option<Vec<&'a str>>, String> {
+/// The entries of the axis array `key` (`None` when the axis is
+/// omitted), each read by `entry`; `what` names the entries it accepts.
+fn items<'a, T>(
+    doc: &'a Json,
+    key: &str,
+    what: &str,
+    entry: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<Vec<T>>, String> {
     let Some(v) = doc.get(key) else {
         return Ok(None);
     };
@@ -128,24 +110,44 @@ fn str_items<'a>(doc: &'a Json, key: &str) -> Result<Option<Vec<&'a str>>, Strin
         .as_array()
         .ok_or_else(|| format!("space file: {key:?} must be an array"))?;
     arr.iter()
-        .map(|e| {
-            e.as_str()
-                .ok_or_else(|| format!("space file: {key:?} entries must be strings"))
-        })
-        .collect::<Result<Vec<_>, _>>()
+        .map(|e| entry(e).ok_or_else(|| format!("space file: {key:?} entries must be {what}")))
+        .collect::<Result<_, _>>()
         .map(Some)
 }
 
-fn req_bool(obj: &Json, ctx: &str, key: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(|v| v.as_bool())
-        .ok_or_else(|| format!("space file: {ctx} needs boolean {key:?}"))
+/// A string axis, read through [`keyed`].
+fn keyed_items<T>(
+    doc: &Json,
+    key: &str,
+    knob: &str,
+    from_key: fn(&str) -> Option<T>,
+) -> Result<Option<Vec<T>>, String> {
+    items(doc, key, "strings", Json::as_str)?
+        .map(|v| v.into_iter().map(|s| keyed(knob, s, from_key)).collect())
+        .transpose()
 }
 
-fn req_u64(obj: &Json, ctx: &str, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("space file: {ctx} needs integer {key:?}"))
+fn icache_entry(e: &Json) -> Option<Option<CacheConfig>> {
+    if matches!(e, Json::Null) {
+        return Some(None);
+    }
+    let size = e.get("size_bytes")?.as_u64()? as u32;
+    let mut c = CacheConfig::real(size, e.get("prefetch")?.as_bool()?);
+    if let Some(ideal) = e.get("ideal") {
+        c.ideal = ideal.as_bool()?;
+    }
+    if let Some(p) = e.get("miss_penalty") {
+        c.miss_penalty = p.as_u64()? as u32;
+    }
+    Some(Some(c))
+}
+
+fn monte_entry(e: &Json) -> Option<MonteConfig> {
+    Some(MonteConfig {
+        double_buffer: e.get("double_buffer")?.as_bool()?,
+        forwarding: e.get("forwarding")?.as_bool()?,
+        queue_depth: e.get("queue_depth")?.as_u64()? as usize,
+    })
 }
 
 /// Parses a JSON space file. Supported keys: `name` (string, required),
@@ -160,109 +162,43 @@ fn req_u64(obj: &Json, ctx: &str, key: &str) -> Result<u64, String> {
 /// `"P-192"`, …).
 pub fn parse_space_file(text: &str) -> Result<SpaceSpec, String> {
     let doc = json::parse(text).ok_or("space file: not valid JSON")?;
-    let name = doc
-        .get("name")
-        .and_then(|v| v.as_str())
-        .ok_or("space file: missing string \"name\"")?;
-    let workload = parse_workload(
-        doc.get("workload")
-            .and_then(|v| v.as_str())
-            .ok_or("space file: missing string \"workload\"")?,
-    )?;
-    let mut space = SpaceSpec::new(name, workload);
-
-    if let Some(items) = str_items(&doc, "curves")? {
-        let v = items
-            .into_iter()
-            .map(parse_curve)
-            .collect::<Result<_, _>>()?;
-        space = space.axis(Axis::Curves(v));
-    }
-    if let Some(items) = str_items(&doc, "archs")? {
-        let v = items
-            .into_iter()
-            .map(parse_arch)
-            .collect::<Result<_, _>>()?;
-        space = space.axis(Axis::Archs(v));
-    }
-    if let Some(items) = str_items(&doc, "mult_variants")? {
-        let v = items
-            .into_iter()
-            .map(parse_mult_variant)
-            .collect::<Result<_, _>>()?;
-        space = space.axis(Axis::MultVariants(v));
-    }
-    if let Some(items) = str_items(&doc, "gatings")? {
-        let v = items
-            .into_iter()
-            .map(parse_gating)
-            .collect::<Result<_, _>>()?;
-        space = space.axis(Axis::Gatings(v));
-    }
-    if let Some(v) = doc.get("billie_digits") {
-        let arr = v
-            .as_array()
-            .ok_or("space file: \"billie_digits\" must be an array")?;
-        let digits = arr
-            .iter()
-            .map(|e| {
-                e.as_u64().map(|d| d as usize).ok_or_else(|| {
-                    "space file: \"billie_digits\" entries must be integers".to_owned()
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        space = space.axis(Axis::BillieDigits(digits));
-    }
-    if let Some(v) = doc.get("billie_sram_rf") {
-        let arr = v
-            .as_array()
-            .ok_or("space file: \"billie_sram_rf\" must be an array")?;
-        let flags = arr
-            .iter()
-            .map(|e| {
-                e.as_bool().ok_or_else(|| {
-                    "space file: \"billie_sram_rf\" entries must be booleans".to_owned()
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        space = space.axis(Axis::BillieSramRf(flags));
-    }
-    if let Some(v) = doc.get("icaches") {
-        let arr = v
-            .as_array()
-            .ok_or("space file: \"icaches\" must be an array")?;
-        let mut caches = Vec::new();
-        for e in arr {
-            if matches!(e, Json::Null) {
-                caches.push(None);
-                continue;
-            }
-            let size = req_u64(e, "icache entry", "size_bytes")? as u32;
-            let mut c = CacheConfig::real(size, req_bool(e, "icache entry", "prefetch")?);
-            if let Some(ideal) = e.get("ideal").and_then(|v| v.as_bool()) {
-                c.ideal = ideal;
-            }
-            if let Some(p) = e.get("miss_penalty").and_then(|v| v.as_u64()) {
-                c.miss_penalty = p as u32;
-            }
-            caches.push(Some(c));
-        }
-        space = space.axis(Axis::Icaches(caches));
-    }
-    if let Some(v) = doc.get("montes") {
-        let arr = v
-            .as_array()
-            .ok_or("space file: \"montes\" must be an array")?;
-        let mut montes = Vec::new();
-        for e in arr {
-            montes.push(MonteConfig {
-                double_buffer: req_bool(e, "monte entry", "double_buffer")?,
-                forwarding: req_bool(e, "monte entry", "forwarding")?,
-                queue_depth: req_u64(e, "monte entry", "queue_depth")? as usize,
-            });
-        }
-        space = space.axis(Axis::Montes(montes));
-    }
+    let string = |key| {
+        doc.get(key)
+            .and_then(Json::as_str)
+            .ok_or(format!("space file: missing string {key:?}"))
+    };
+    let name = string("name")?;
+    let workload = keyed("workload", string("workload")?, workload_from_key)?;
+    let axes = [
+        keyed_items(&doc, "curves", "curve", curve_from_key)?.map(Axis::Curves),
+        keyed_items(&doc, "archs", "arch", arch_from_key)?.map(Axis::Archs),
+        keyed_items(&doc, "mult_variants", "mult_variant", mult_variant_from_key)?
+            .map(Axis::MultVariants),
+        keyed_items(&doc, "gatings", "gating", gating_from_key)?.map(Axis::Gatings),
+        items(&doc, "billie_digits", "integers", |e| {
+            e.as_u64().map(|d| d as usize)
+        })?
+        .map(Axis::BillieDigits),
+        items(&doc, "billie_sram_rf", "booleans", Json::as_bool)?.map(Axis::BillieSramRf),
+        items(
+            &doc,
+            "icaches",
+            r#"null or {"size_bytes", "prefetch"} objects"#,
+            icache_entry,
+        )?
+        .map(Axis::Icaches),
+        items(
+            &doc,
+            "montes",
+            r#"{"double_buffer", "forwarding", "queue_depth"} objects"#,
+            monte_entry,
+        )?
+        .map(Axis::Montes),
+    ];
+    let space = axes
+        .into_iter()
+        .flatten()
+        .fold(SpaceSpec::new(name, workload), SpaceSpec::axis);
     space.validate().map_err(|e| format!("space file: {e}"))?;
     Ok(space)
 }
@@ -336,5 +272,9 @@ mod tests {
         let bad = r#"{"name": "x", "workload": "sign",
                       "icaches": [{"size_bytes": 3000, "prefetch": false}]}"#;
         assert!(parse_space_file(bad).unwrap_err().contains("power of two"));
+        let bad = r#"{"name": "x", "workload": "sign", "montes": [{"forwarding": true}]}"#;
+        assert!(parse_space_file(bad)
+            .unwrap_err()
+            .contains("\"montes\" entries"));
     }
 }

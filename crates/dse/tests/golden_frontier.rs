@@ -107,8 +107,9 @@ fn journal_resume_is_byte_identical() {
     assert_eq!(std::fs::read(&path).expect("journal"), bytes);
     assert_eq!(resumed.frontier.len(), fresh.frontier.len());
 
-    let stats =
-        ule_dse::journal::validate_journal(&String::from_utf8(bytes).unwrap()).expect("valid");
+    let stats = ule_dse::journal::read_journal(&String::from_utf8(bytes).unwrap())
+        .expect("valid")
+        .stats;
     assert_eq!(stats.design_points, fresh.evaluated);
     assert_eq!(stats.frontier_points, fresh.frontier.len());
     assert_eq!(stats.summaries, 1);

@@ -209,16 +209,6 @@ impl EngineTier {
             EngineTier::Reference => "reference",
         }
     }
-
-    /// Parses the CLI spelling; `ref` is accepted for `reference`.
-    pub fn parse(s: &str) -> Option<EngineTier> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(EngineTier::Auto),
-            "fast" => Some(EngineTier::Fast),
-            "reference" | "ref" => Some(EngineTier::Reference),
-            _ => None,
-        }
-    }
 }
 
 /// Everything that varies per `run_with` call: the cycle budget and

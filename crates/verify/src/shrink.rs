@@ -183,17 +183,13 @@ pub fn shrink(rig: &CurveRig, d: &Divergence, seed: u64) -> ShrunkDivergence {
         }
     }
     let (entry, config) = found.unwrap_or((d.entry, d.config));
-    let tier_label = match tier {
-        EngineTier::Fast => "fast",
-        _ => "reference",
-    };
     let reproducer = format!(
         "repro verify --seed {:#018x} --curve {} --case {} --config {} --tier {} --iters 1",
         seed,
         rig.id.name(),
         d.case.label(),
         config.label(binary),
-        tier_label,
+        tier.label(),
     );
     ShrunkDivergence {
         original: d.clone(),

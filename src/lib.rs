@@ -14,5 +14,6 @@ pub use ule_energy as energy;
 pub use ule_isa as isa;
 pub use ule_monte as monte;
 pub use ule_mpmath as mpmath;
+pub use ule_obs as obs;
 pub use ule_pete as pete;
 pub use ule_swlib as swlib;

@@ -255,3 +255,34 @@ fn cli_table_parses_every_subcommand() {
         })
     );
 }
+
+#[test]
+fn identity_codec_round_trips_every_job_and_lattice_point() {
+    // Every experiment job and every built-in lattice point goes through
+    // encode -> JSON text -> decode and comes back unchanged; nothing is
+    // simulated.
+    use ule_repro::bench::ExperimentId;
+    use ule_repro::core_api::metrics::{config_identity, decode_identity, push_identity};
+    use ule_repro::dse::spaces;
+    use ule_repro::obs::{json, record::Record};
+    let mut points: Vec<(SystemConfig, Workload)> =
+        ExperimentId::ALL.iter().flat_map(|id| id.jobs()).collect();
+    for name in spaces::BUILTIN_NAMES {
+        let space = spaces::builtin(name).unwrap();
+        let lattice = space.enumerate().unwrap();
+        points.extend(lattice.into_iter().map(|c| (c, space.workload)));
+    }
+    assert!(points.len() > 300, "{}", points.len());
+    for (config, workload) in points {
+        let mut record = Record::new("design_point");
+        push_identity(&mut record, &config, workload);
+        let text = record.to_json();
+        let doc = json::parse(&text).unwrap();
+        let decoded = decode_identity(&doc).unwrap_or_else(|e| panic!("{text}: {e}"));
+        assert_eq!(decoded, (config, workload), "{text}");
+        assert_eq!(
+            config_identity(&decoded.0, decoded.1),
+            config_identity(&config, workload)
+        );
+    }
+}
