@@ -30,7 +30,8 @@
 
 use std::collections::VecDeque;
 use ule_isa::instr::Instr;
-use ule_mpmath::f2m::BinaryField;
+use ule_mpmath::f2m::{BinaryField, F2mElement};
+use ule_mpmath::mp::MAX_LIMBS;
 use ule_mpmath::nist::NistBinary;
 use ule_pete::cop::{CopStats, Coprocessor};
 use ule_pete::mem::Ram;
@@ -59,7 +60,7 @@ impl Default for BillieConfig {
 pub struct Billie {
     field: BinaryField,
     config: BillieConfig,
-    regs: Vec<Vec<u32>>,
+    regs: [F2mElement; NUM_REGS],
     reg_ready: [u64; NUM_REGS],
     mul_free: u64,
     sqr_free: u64,
@@ -85,11 +86,10 @@ impl Billie {
     pub fn with_config(field: NistBinary, config: BillieConfig) -> Self {
         assert!(config.digit >= 1 && config.digit <= 16);
         let f = BinaryField::nist(field);
-        let k = f.k();
         Billie {
+            regs: std::array::from_fn(|_| f.zero()),
             field: f,
             config,
-            regs: vec![vec![0; k]; NUM_REGS],
             reg_ready: [0; NUM_REGS],
             mul_free: 0,
             sqr_free: 0,
@@ -150,10 +150,6 @@ impl Billie {
         *busy = granted;
         granted
     }
-
-    fn el(&self, r: u8) -> ule_mpmath::f2m::F2mElement {
-        self.field.from_limbs(&self.regs[r as usize])
-    }
 }
 
 impl Coprocessor for Billie {
@@ -172,8 +168,17 @@ impl Coprocessor for Billie {
                 self.stats.ram_reads += k as u64;
                 self.stats.dma_cycles += self.lsu_latency();
                 self.stats.ls_ops += 1;
-                let words = ram.peek_words(rt_value, k);
-                self.regs[fs as usize] = words;
+                // The register is m bits wide (§5.5.2): coefficients at
+                // and above m in the loaded words are dropped.
+                let mut words = [0u32; MAX_LIMBS];
+                for (i, w) in words[..k].iter_mut().enumerate() {
+                    *w = ram.peek(rt_value + 4 * i as u32);
+                }
+                let top = self.field.m() % 32;
+                if top != 0 {
+                    words[k - 1] &= (1 << top) - 1;
+                }
+                self.regs[fs as usize] = self.field.from_limbs(&words[..k]);
                 self.reg_ready[fs as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -185,8 +190,7 @@ impl Coprocessor for Billie {
                 self.stats.ram_writes += k as u64;
                 self.stats.dma_cycles += self.lsu_latency();
                 self.stats.ls_ops += 1;
-                let words = self.regs[fs as usize].clone();
-                ram.poke_words(rt_value, &words);
+                ram.poke_words(rt_value, self.regs[fs as usize].limbs());
                 self.inflight.push_back(done);
             }
             Instr::BilMul { fd, fs, ft } => {
@@ -200,8 +204,9 @@ impl Coprocessor for Billie {
                 let wb = Self::claim_port(&mut self.port_a_busy, done);
                 self.stats.busy_cycles += self.mul_latency();
                 self.stats.mul_ops += 1;
-                let r = self.field.mul(&self.el(fs), &self.el(ft));
-                self.regs[fd as usize] = r.limbs().to_vec();
+                self.regs[fd as usize] = self
+                    .field
+                    .mul(&self.regs[fs as usize], &self.regs[ft as usize]);
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -212,8 +217,7 @@ impl Coprocessor for Billie {
                 let wb = Self::claim_port(&mut self.port_a_busy, done);
                 self.stats.busy_cycles += 1;
                 self.stats.mul_ops += 1;
-                let r = self.field.sqr(&self.el(ft));
-                self.regs[fd as usize] = r.limbs().to_vec();
+                self.regs[fd as usize] = self.field.sqr(&self.regs[ft as usize]);
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -227,8 +231,9 @@ impl Coprocessor for Billie {
                 self.add_free = done;
                 let wb = Self::claim_port(&mut self.port_b_busy, done);
                 self.stats.busy_cycles += 1;
-                let r = self.field.add(&self.el(fs), &self.el(ft));
-                self.regs[fd as usize] = r.limbs().to_vec();
+                self.regs[fd as usize] = self
+                    .field
+                    .add(&self.regs[fs as usize], &self.regs[ft as usize]);
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -316,6 +321,37 @@ mod tests {
         let ec = f.from_limbs(&c);
         let expect = f.add(&f.sqr(&f.mul(&ea, &ec)), &ea);
         assert_eq!(got, expect.limbs());
+    }
+
+    #[test]
+    fn a_load_keeps_only_the_m_register_bits() {
+        // Six all-ones words on B-163 set coefficients 163..191; the
+        // m-bit register drops them (§5.5.2), so the product and the
+        // stored register are those of the masked operand.
+        let mut b = Billie::new(NistBinary::B163);
+        let f = b.field().clone();
+        let mut ram = Ram::new();
+        let ones = vec![u32::MAX; f.k()];
+        ram.poke_words(RAM_BASE, &ones);
+        let rt = Reg::T0;
+        let mut cy = b.issue(Instr::BilLd { rt, fs: 1 }, RAM_BASE, 0, &mut ram);
+        cy = b.issue(
+            Instr::BilMul {
+                fd: 2,
+                fs: 1,
+                ft: 1,
+            },
+            0,
+            cy,
+            &mut ram,
+        );
+        cy = b.issue(Instr::BilSt { rt, fs: 1 }, RAM_BASE + 64, cy, &mut ram);
+        let _ = b.issue(Instr::BilSt { rt, fs: 2 }, RAM_BASE + 128, cy, &mut ram);
+        let mut masked = ones;
+        masked[f.k() - 1] &= (1 << (f.m() % 32)) - 1;
+        let a = f.from_limbs(&masked);
+        assert_eq!(ram.peek_words(RAM_BASE + 64, f.k()), masked);
+        assert_eq!(ram.peek_words(RAM_BASE + 128, f.k()), f.mul(&a, &a).limbs());
     }
 
     #[test]

@@ -49,3 +49,23 @@ fn group_orders_have_expected_bit_lengths() {
         );
     }
 }
+
+/// The group-order fields have bit counts that are not multiples of 32, so
+/// their reductions end in the bit-granular fold; check it against
+/// division on zero, all-ones and random double-width inputs.
+#[test]
+fn order_field_reduce_wide_matches_division() {
+    let mut rng = ule_testkit::Rng::new(0x0bde_4ed0);
+    for id in CurveId::ALL.into_iter().chain(CurveId::XCURVES) {
+        let curve = id.curve();
+        let f = curve.order_field();
+        let k = f.k();
+        let mut inputs = vec![vec![0; 2 * k], vec![u32::MAX; 2 * k]];
+        inputs.extend((0..8).map(|_| rng.vec_u32(2 * k)));
+        for wide in inputs {
+            let got = f.reduce_wide(&wide).to_mp();
+            let expect = ule_mpmath::Mp::from_limbs(&wide).rem(f.modulus());
+            assert_eq!(got, expect, "{} order, input {wide:x?}", id.name());
+        }
+    }
+}

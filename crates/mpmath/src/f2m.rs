@@ -18,24 +18,30 @@
 //! Squaring uses the zero-interleaving expansion (§4.2.3) via an 8-bit →
 //! 16-bit spread table, and reduction is the word-level fast reduction of
 //! Algorithm 7, generalized over the sparse term list of the field
-//! polynomial.
+//! polynomial. Elements hold their limbs inline (up to
+//! [`mp::MAX_LIMBS`]); add, the multipliers and squaring reduce in place
+//! on stack buffers, so they never allocate.
 
-use crate::mp::{self, Limb, Mp};
+use crate::mp::{self, InlineLimbs, Limb, Mp, MAX_LIMBS};
 use crate::nist::NistBinary;
 use std::fmt;
 
 /// Carry-less 32×32 → 64-bit multiplication (the datapath primitive the
 /// `MULGF2` instruction provides in hardware).
+///
+/// Branch-free: a 16-entry table of `a`'s carry-less multiples by every
+/// polynomial of degree < 4, then `b` is consumed in eight 4-bit windows
+/// from the top, one shift-XOR step each.
 pub fn clmul32(a: u32, b: u32) -> u64 {
+    let mut table = [0u64; 16];
+    table[1] = a as u64;
+    for u in 1..8 {
+        table[2 * u] = table[u] << 1;
+        table[2 * u + 1] = table[2 * u] ^ a as u64;
+    }
     let mut acc = 0u64;
-    let mut a64 = a as u64;
-    let mut b = b;
-    while b != 0 {
-        if b & 1 == 1 {
-            acc ^= a64;
-        }
-        a64 <<= 1;
-        b >>= 1;
+    for i in (0..8).rev() {
+        acc = (acc << 4) ^ table[(b >> (4 * i)) as usize & 0xf];
     }
     acc
 }
@@ -43,32 +49,32 @@ pub fn clmul32(a: u32, b: u32) -> u64 {
 /// An element of a binary field: `k` little-endian limbs with every bit at
 /// position `>= m` clear.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct F2mElement(Vec<Limb>);
+pub struct F2mElement(InlineLimbs);
 
 impl F2mElement {
     /// The little-endian limbs of the element.
     pub fn limbs(&self) -> &[Limb] {
-        &self.0
+        self.0.as_slice()
     }
 
     /// Converts to an integer whose bits are the polynomial coefficients.
     pub fn to_mp(&self) -> Mp {
-        Mp::from_limbs(&self.0)
+        Mp::from_limbs(self.limbs())
     }
 
     /// Returns `true` for the zero polynomial.
     pub fn is_zero(&self) -> bool {
-        mp::is_zero(&self.0)
+        mp::is_zero(self.limbs())
     }
 
     /// Returns coefficient `i` of the polynomial.
     pub fn bit(&self, i: usize) -> bool {
-        mp::bit(&self.0, i)
+        mp::bit(self.limbs(), i)
     }
 
     /// Degree of the polynomial (`None` for zero).
     pub fn degree(&self) -> Option<usize> {
-        let b = mp::bit_len(&self.0);
+        let b = mp::bit_len(self.limbs());
         if b == 0 {
             None
         } else {
@@ -110,8 +116,9 @@ impl BinaryField {
     ///
     /// # Panics
     ///
-    /// Panics unless the term list is strictly decreasing and ends with 0.
-    /// When `m - terms[0] >= 32` and `m % 32 != 0` (true of every NIST
+    /// Panics unless the term list is strictly decreasing and ends with 0,
+    /// or if `m` needs more than [`MAX_LIMBS`] limbs. When
+    /// `m - terms[0] >= 32` and `m % 32 != 0` (true of every NIST
     /// polynomial) reduction uses the fast word-level fold of Algorithm 7;
     /// otherwise it transparently falls back to a bit-serial fold.
     pub fn new(name: &str, m: usize, terms: &[usize]) -> Self {
@@ -119,6 +126,10 @@ impl BinaryField {
         assert!(!terms.is_empty() && *terms.last().unwrap() == 0);
         assert!(terms.windows(2).all(|w| w[0] > w[1]), "terms must decrease");
         assert!(terms[0] < m, "terms must lie below the leading exponent");
+        assert!(
+            m.div_ceil(32) <= MAX_LIMBS,
+            "{name}: degree {m} exceeds MAX_LIMBS"
+        );
         let word_foldable = m - terms[0] >= 32 && !m.is_multiple_of(32);
         let mut spread = [0u16; 256];
         for (b, entry) in spread.iter_mut().enumerate() {
@@ -171,24 +182,19 @@ impl BinaryField {
 
     /// The zero element.
     pub fn zero(&self) -> F2mElement {
-        F2mElement(vec![0; self.k])
+        F2mElement(InlineLimbs::zero(self.k))
     }
 
     /// The one element.
     pub fn one(&self) -> F2mElement {
-        let mut v = vec![0; self.k];
-        v[0] = 1;
-        F2mElement(v)
+        let mut v = self.zero();
+        v.0.as_mut_slice()[0] = 1;
+        v
     }
 
     /// Builds an element from an integer bit vector, reducing mod `f`.
     pub fn from_mp(&self, v: &Mp) -> F2mElement {
-        // Bit-serial reduction of arbitrarily long input: fold every bit
-        // >= m. Inputs in practice are <= 2m bits; clarity over speed.
-        let mut limbs = v.limbs().to_vec();
-        limbs.resize(limbs.len().max(2 * self.k), 0);
-        let wide = self.reduce(&limbs);
-        F2mElement(wide)
+        self.reduce(v.limbs())
     }
 
     /// Interprets exactly `k` limbs as an element.
@@ -200,14 +206,18 @@ impl BinaryField {
     pub fn from_limbs(&self, limbs: &[Limb]) -> F2mElement {
         assert_eq!(limbs.len(), self.k);
         assert!(mp::bit_len(limbs) <= self.m, "element not reduced");
-        F2mElement(limbs.to_vec())
+        F2mElement(InlineLimbs::from_slice(limbs))
     }
 
     /// `a + b` — bitwise XOR; identical to subtraction (§2.1.4).
     pub fn add(&self, a: &F2mElement, b: &F2mElement) -> F2mElement {
         self.check(a);
         self.check(b);
-        F2mElement(a.0.iter().zip(&b.0).map(|(x, y)| x ^ y).collect())
+        let mut out = a.clone();
+        for (x, y) in out.0.as_mut_slice().iter_mut().zip(b.limbs()) {
+            *x ^= y;
+        }
+        out
     }
 
     /// `a * b mod f` via the default (carry-less product scanning)
@@ -224,28 +234,26 @@ impl BinaryField {
         self.check(b);
         let k = self.k;
         // Precompute Bu = u(x) * b(x) for all u of degree < 4.
-        let mut table = vec![vec![0 as Limb; k + 1]; 16];
-        #[allow(clippy::needless_range_loop)]
-        for u in 1..16usize {
-            let mut row = vec![0 as Limb; k + 1];
+        let mut table = [[0 as Limb; MAX_LIMBS + 1]; 16];
+        for (u, row) in table.iter_mut().enumerate() {
             for bit in 0..4 {
                 if (u >> bit) & 1 == 1 {
                     let mut carry = 0u32;
-                    for (j, &bw) in b.0.iter().enumerate() {
+                    for (j, &bw) in b.limbs().iter().enumerate() {
                         row[j] ^= (bw << bit) | carry;
                         carry = if bit == 0 { 0 } else { bw >> (32 - bit) };
                     }
                     row[k] ^= carry;
                 }
             }
-            table[u] = row;
         }
-        let mut c = vec![0 as Limb; 2 * k + 1];
+        let mut c = [0 as Limb; 2 * MAX_LIMBS + 1];
+        let c = &mut c[..2 * k + 1];
         for j in (0..8).rev() {
-            for i in 0..k {
-                let u = ((a.0[i] >> (4 * j)) & 0xf) as usize;
+            for (i, &aw) in a.limbs().iter().enumerate() {
+                let u = ((aw >> (4 * j)) & 0xf) as usize;
                 if u != 0 {
-                    for (l, &w) in table[u].iter().enumerate() {
+                    for (l, &w) in table[u][..=k].iter().enumerate() {
                         c[i + l] ^= w;
                     }
                 }
@@ -260,7 +268,7 @@ impl BinaryField {
                 }
             }
         }
-        F2mElement(self.reduce(&c[..2 * k]))
+        self.reduce_in_place(&mut c[..2 * k])
     }
 
     /// Carry-less product-scanning multiplication — Algorithm 3 with the
@@ -271,20 +279,22 @@ impl BinaryField {
         self.check(a);
         self.check(b);
         let k = self.k;
-        let mut wide = vec![0 as Limb; 2 * k];
+        let (a, b) = (a.limbs(), b.limbs());
+        let mut wide = [0 as Limb; 2 * MAX_LIMBS];
+        let wide = &mut wide[..2 * k];
         let mut acc: u64 = 0;
         #[allow(clippy::needless_range_loop)]
         for i in 0..(2 * k - 1) {
             let lo = i.saturating_sub(k - 1);
             let hi = i.min(k - 1);
             for j in lo..=hi {
-                acc ^= clmul32(a.0[j], b.0[i - j]);
+                acc ^= clmul32(a[j], b[i - j]);
             }
             wide[i] = acc as Limb;
             acc >>= 32;
         }
         wide[2 * k - 1] = acc as Limb;
-        F2mElement(self.reduce(&wide))
+        self.reduce_in_place(wide)
     }
 
     /// `a^2 mod f` via zero-interleaving expansion (§4.2.3) — `O(k)`,
@@ -292,9 +302,9 @@ impl BinaryField {
     /// advantages of binary fields.
     pub fn sqr(&self, a: &F2mElement) -> F2mElement {
         self.check(a);
-        let k = self.k;
-        let mut wide = vec![0 as Limb; 2 * k];
-        for (i, &w) in a.0.iter().enumerate() {
+        let mut wide = [0 as Limb; 2 * MAX_LIMBS];
+        let wide = &mut wide[..2 * self.k];
+        for (i, &w) in a.limbs().iter().enumerate() {
             let lo = self.spread[(w & 0xff) as usize] as u32
                 | (self.spread[((w >> 8) & 0xff) as usize] as u32) << 16;
             let hi = self.spread[((w >> 16) & 0xff) as usize] as u32
@@ -302,22 +312,25 @@ impl BinaryField {
             wide[2 * i] = lo;
             wide[2 * i + 1] = hi;
         }
-        F2mElement(self.reduce(&wide))
+        self.reduce_in_place(wide)
     }
 
-    /// Word-level fast reduction (Algorithm 7, generalized): folds a
-    /// double-width polynomial back below degree `m` using the sparse term
-    /// list. Returns `k` masked limbs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wide.len() < k`.
-    pub fn reduce(&self, wide: &[Limb]) -> Vec<Limb> {
-        assert!(wide.len() >= self.k);
-        if !self.word_foldable {
-            return self.reduce_bit_serial(wide);
-        }
+    /// Reduces a polynomial of any length modulo `f` with the word-level
+    /// fold of Algorithm 7 (bit-serial for fields it does not fit).
+    pub fn reduce(&self, wide: &[Limb]) -> F2mElement {
         let mut c = wide.to_vec();
+        c.resize(c.len().max(self.k), 0);
+        self.reduce_in_place(&mut c)
+    }
+
+    /// Word-level fast reduction (Algorithm 7, generalized): folds the
+    /// polynomial in `c` (at least `k` limbs) back below degree `m` in
+    /// place, using the sparse term list, and returns its low `k` limbs.
+    fn reduce_in_place(&self, c: &mut [Limb]) -> F2mElement {
+        debug_assert!(c.len() >= self.k);
+        if !self.word_foldable {
+            return self.reduce_bit_serial(c);
+        }
         let kw = self.m / 32; // word index containing bit m
         let r = self.m % 32;
         for i in (kw + 1..c.len()).rev() {
@@ -348,15 +361,13 @@ impl BinaryField {
             }
         }
         c[kw] &= (1u32 << r) - 1;
-        c.truncate(self.k);
-        debug_assert!(mp::bit_len(&c) <= self.m);
-        c
+        debug_assert!(mp::bit_len(&c[..self.k]) <= self.m);
+        F2mElement(InlineLimbs::from_slice(&c[..self.k]))
     }
 
     /// Bit-serial reduction fallback for polynomials too dense (or fields
     /// too small) for the word fold.
-    fn reduce_bit_serial(&self, wide: &[Limb]) -> Vec<Limb> {
-        let mut c = wide.to_vec();
+    fn reduce_bit_serial(&self, c: &mut [Limb]) -> F2mElement {
         for i in (self.m..32 * c.len()).rev() {
             if (c[i / 32] >> (i % 32)) & 1 == 1 {
                 c[i / 32] ^= 1 << (i % 32);
@@ -366,8 +377,7 @@ impl BinaryField {
                 }
             }
         }
-        c.truncate(self.k);
-        c
+        F2mElement(InlineLimbs::from_slice(&c[..self.k]))
     }
 
     /// Inverse by the **polynomial extended Euclidean algorithm**
@@ -383,7 +393,7 @@ impl BinaryField {
             out.resize(width, 0);
             out
         };
-        let mut u = pad(&a.0);
+        let mut u = pad(a.limbs());
         let mut v = pad(&self.poly_mp().to_limbs(self.k + 1));
         let mut g1 = pad(&[1]);
         let mut g2 = pad(&[]);
@@ -447,8 +457,8 @@ impl BinaryField {
     }
 
     fn check(&self, a: &F2mElement) {
-        debug_assert_eq!(a.0.len(), self.k, "element belongs to another field");
-        debug_assert!(mp::bit_len(&a.0) <= self.m, "element not reduced");
+        debug_assert_eq!(a.limbs().len(), self.k, "element belongs to another field");
+        debug_assert!(mp::bit_len(a.limbs()) <= self.m, "element not reduced");
     }
 }
 
@@ -484,7 +494,7 @@ mod tests {
                 }
                 shifted = Mp::from_limbs(&l);
             }
-            acc = F2mElement(shifted.to_limbs(f.k()));
+            acc = f.from_limbs(&shifted.to_limbs(f.k()));
             if b.bit(i) {
                 acc = f.add(&acc, a);
             }
@@ -505,6 +515,74 @@ mod tests {
         let r = f.m() % 32;
         limbs[f.k() - 1] &= (1u32 << r) - 1;
         f.from_limbs(&limbs)
+    }
+
+    /// Bit-serial oracle: XOR of `a << i` for every set bit `i` of `b`.
+    fn bit_serial_clmul(a: u32, b: u32) -> u64 {
+        (0..32)
+            .filter(|i| (b >> i) & 1 == 1)
+            .fold(0, |acc, i| acc ^ ((a as u64) << i))
+    }
+
+    #[test]
+    fn carry_less_multiply_matches_bit_serial_oracle() {
+        let edges = [
+            0,
+            1,
+            2,
+            0xf,
+            0x8000_0000,
+            0x5555_5555,
+            0xaaaa_aaaa,
+            u32::MAX,
+        ];
+        for &a in &edges {
+            for &b in &edges {
+                assert_eq!(clmul32(a, b), bit_serial_clmul(a, b), "{a:#x} x {b:#x}");
+            }
+        }
+        for i in 0..32 {
+            for j in 0..32 {
+                let (a, b) = (1u32 << i, 1u32 << j);
+                assert_eq!(clmul32(a, b), bit_serial_clmul(a, b), "{a:#x} x {b:#x}");
+                assert_eq!(clmul32(a, b), 1u64 << (i + j));
+            }
+        }
+        let mut rng = ule_testkit::Rng::new(0xc1a5_5032);
+        for _ in 0..1_000_000 {
+            let (a, b) = (rng.next_u32(), rng.next_u32());
+            assert_eq!(clmul32(a, b), bit_serial_clmul(a, b), "{a:#x} x {b:#x}");
+        }
+    }
+
+    #[test]
+    fn equal_elements_from_different_paths_compare_and_hash_equal() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |e: &F2mElement| {
+            let mut h = DefaultHasher::new();
+            e.hash(&mut h);
+            h.finish()
+        };
+        for f in all_fields() {
+            let a = sample(&f, 8);
+            let b = sample(&f, 9);
+            let sum = f.add(&f.mul(&a, &b), &f.sqr(&a));
+            let direct = f.from_mp(&sum.to_mp());
+            let comb = f.add(&f.mul_comb(&a, &b), &f.mul_comb(&a, &a));
+            for other in [&direct, &comb] {
+                assert_eq!(&sum, other, "{}", f.name());
+                assert_eq!(hash(&sum), hash(other), "{}", f.name());
+            }
+            assert_eq!(f.add(&a, &a), f.zero());
+            assert_eq!(hash(&f.add(&a, &a)), hash(&f.zero()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_LIMBS")]
+    fn a_field_wider_than_max_limbs_is_refused_at_construction() {
+        let _ = BinaryField::new("too wide", 32 * MAX_LIMBS + 1, &[1, 0]);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! little-endian limb vectors of `k = ceil(bits/32)` limbs, exactly the
 //! in-memory representation of the simulated software suite.
 //!
+//! Elements hold their limbs inline (up to [`mp::MAX_LIMBS`]), and add,
+//! sub, neg, mul and reduction work on stack buffers, so they never
+//! allocate; conversions from [`Mp`] and inversion still go through `Mp`.
+//!
 //! Multiplication is operand scanning (Algorithm 2) followed by fast
 //! reduction. Reduction exploits the *modular congruency* idea of §4.2.1:
 //! every power `2^(32*(k+j))` appearing in the double-width product is
@@ -15,7 +19,7 @@
 //! paper. The result is verified against division-based reduction in the
 //! test suite.
 
-use crate::mp::{self, Limb, Mp};
+use crate::mp::{self, InlineLimbs, Limb, Mp, MAX_LIMBS};
 use crate::nist::NistPrime;
 use std::cmp::Ordering;
 use std::fmt;
@@ -27,27 +31,27 @@ use std::fmt;
 /// an element with a field of a different width is a logic error (checked
 /// with debug assertions).
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct FpElement(Vec<Limb>);
+pub struct FpElement(InlineLimbs);
 
 impl FpElement {
     /// The little-endian limbs of the element.
     pub fn limbs(&self) -> &[Limb] {
-        &self.0
+        self.0.as_slice()
     }
 
     /// Converts to an arbitrary-precision integer.
     pub fn to_mp(&self) -> Mp {
-        Mp::from_limbs(&self.0)
+        Mp::from_limbs(self.limbs())
     }
 
     /// Returns `true` if this is the zero element.
     pub fn is_zero(&self) -> bool {
-        mp::is_zero(&self.0)
+        mp::is_zero(self.limbs())
     }
 
     /// Returns bit `i` of the canonical representative.
     pub fn bit(&self, i: usize) -> bool {
-        mp::bit(&self.0, i)
+        mp::bit(self.limbs(), i)
     }
 }
 
@@ -69,8 +73,8 @@ pub struct PrimeField {
     /// `fold[j] = 2^(32*(k+j)) mod p` for `j in 0..=k+1`; the extra entries
     /// let [`PrimeField::reduce_wide`] fold its own (k+2)-limb accumulator.
     fold: Vec<Vec<Limb>>,
-    /// `2^bits mod p`, for the bit-granular reduction tail.
-    two_b: Mp,
+    /// `2^bits mod p` as `k` limbs, for the bit-granular reduction tail.
+    two_b: Vec<Limb>,
 }
 
 impl PrimeField {
@@ -88,18 +92,23 @@ impl PrimeField {
     ///
     /// # Panics
     ///
-    /// Panics if `modulus < 3` or `modulus` is even.
+    /// Panics if `modulus < 3`, `modulus` is even, or it is wider than
+    /// [`MAX_LIMBS`] limbs.
     pub fn new(name: &str, modulus: &Mp) -> Self {
         assert!(modulus.bit_len() >= 2, "modulus too small");
         assert!(modulus.bit(0), "modulus must be odd");
         let bits = modulus.bit_len();
         let k = bits.div_ceil(32);
+        assert!(
+            k <= MAX_LIMBS,
+            "{name}: {bits}-bit modulus exceeds MAX_LIMBS"
+        );
         let mut fold = Vec::with_capacity(k + 2);
         for j in 0..k + 2 {
             let c = Mp::one().shl(32 * (k + j)).rem(modulus);
             fold.push(c.to_limbs(k));
         }
-        let two_b = Mp::one().shl(bits).rem(modulus);
+        let two_b = Mp::one().shl(bits).rem(modulus).to_limbs(k);
         PrimeField {
             name: name.to_owned(),
             modulus: modulus.to_limbs(k),
@@ -138,7 +147,7 @@ impl PrimeField {
 
     /// The zero element.
     pub fn zero(&self) -> FpElement {
-        FpElement(vec![0; self.k])
+        FpElement(InlineLimbs::zero(self.k))
     }
 
     /// The one element.
@@ -153,7 +162,9 @@ impl PrimeField {
 
     /// Reduces an arbitrary integer into the field.
     pub fn from_mp(&self, v: &Mp) -> FpElement {
-        FpElement(v.rem(&self.modulus_mp).to_limbs(self.k))
+        FpElement(InlineLimbs::from_slice(
+            &v.rem(&self.modulus_mp).to_limbs(self.k),
+        ))
     }
 
     /// Interprets exactly `k` limbs as an element.
@@ -167,7 +178,7 @@ impl PrimeField {
             mp::cmp(limbs, &self.modulus) == Ordering::Less,
             "element not reduced"
         );
-        FpElement(limbs.to_vec())
+        FpElement(InlineLimbs::from_slice(limbs))
     }
 
     /// `a + b mod p` — multi-precision add followed by a conditional
@@ -175,12 +186,13 @@ impl PrimeField {
     pub fn add(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.check(a);
         self.check(b);
-        let mut out = vec![0; self.k];
-        let carry = mp::add3(&mut out, &a.0, &b.0);
-        if carry || mp::cmp(&out, &self.modulus) != Ordering::Less {
-            mp::sub_into(&mut out, &self.modulus);
+        let mut out = self.zero();
+        let o = out.0.as_mut_slice();
+        let carry = mp::add3(o, a.limbs(), b.limbs());
+        if carry || mp::cmp(o, &self.modulus) != Ordering::Less {
+            mp::sub_into(o, &self.modulus);
         }
-        FpElement(out)
+        out
     }
 
     /// `a - b mod p` — subtraction with a conditional add-back of the
@@ -188,12 +200,12 @@ impl PrimeField {
     pub fn sub(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.check(a);
         self.check(b);
-        let mut out = vec![0; self.k];
-        let borrow = mp::sub3(&mut out, &a.0, &b.0);
-        if borrow {
-            mp::add_into(&mut out, &self.modulus);
+        let mut out = self.zero();
+        let o = out.0.as_mut_slice();
+        if mp::sub3(o, a.limbs(), b.limbs()) {
+            mp::add_into(o, &self.modulus);
         }
-        FpElement(out)
+        out
     }
 
     /// `-a mod p`.
@@ -201,9 +213,9 @@ impl PrimeField {
         if a.is_zero() {
             return self.zero();
         }
-        let mut out = vec![0; self.k];
-        mp::sub3(&mut out, &self.modulus, &a.0);
-        FpElement(out)
+        let mut out = self.zero();
+        mp::sub3(out.0.as_mut_slice(), &self.modulus, a.limbs());
+        out
     }
 
     /// `a * b mod p`: operand-scanning multiplication (Algorithm 2) plus
@@ -211,8 +223,10 @@ impl PrimeField {
     pub fn mul(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.check(a);
         self.check(b);
-        let wide = mp::mul_operand_scanning(&a.0, &b.0);
-        self.reduce_wide(&wide)
+        let mut wide = [0 as Limb; 2 * MAX_LIMBS];
+        let wide = &mut wide[..2 * self.k];
+        mp::mul_into(wide, a.limbs(), b.limbs());
+        self.reduce_wide(wide)
     }
 
     /// `a^2 mod p`.
@@ -247,12 +261,13 @@ impl PrimeField {
         assert_eq!(wide.len(), 2 * self.k, "wide operand width mismatch");
         let k = self.k;
         // Accumulator with two guard limbs: low half + sum of k folded rows.
-        let mut acc = vec![0 as Limb; k + 2];
+        let mut acc = [0 as Limb; MAX_LIMBS + 2];
+        let acc = &mut acc[..k + 2];
         acc[..k].copy_from_slice(&wide[..k]);
         for j in 0..k {
             let h = wide[k + j];
             if h != 0 {
-                let carry = mp::mul_add_limb(&mut acc, &self.fold[j], h);
+                let carry = mp::mul_add_limb(acc, &self.fold[j], h);
                 debug_assert_eq!(carry, 0, "guard limbs overflowed");
             }
         }
@@ -266,40 +281,33 @@ impl PrimeField {
             acc[k] = 0;
             acc[k + 1] = 0;
             if hi0 != 0 {
-                mp::mul_add_limb(&mut acc, &self.fold[0], hi0);
+                mp::mul_add_limb(acc, &self.fold[0], hi0);
             }
             if hi1 != 0 {
-                mp::mul_add_limb(&mut acc, &self.fold[1], hi1);
+                mp::mul_add_limb(acc, &self.fold[1], hi1);
             }
         }
-        let mut v = Mp::from_limbs(&acc[..k]);
-        // v < 2^(32k); fold down to < 2^bits, then a final conditional
-        // subtraction (at most a few iterations since 2^bits < 2p).
-        while v.bit_len() > self.bits {
-            let hi = v.shr(self.bits);
-            let lo_limbs: Vec<Limb> = {
-                let mut t = v.to_limbs(k + 1);
-                // mask off bits >= self.bits
-                let top = self.bits / 32;
-                let rem = self.bits % 32;
-                for limb in t.iter_mut().skip(top + 1) {
-                    *limb = 0;
+        // acc < 2^(32k). While bits at or above `bits` remain, fold them
+        // back with 2^bits = two_b (mod p). The high part is below
+        // 2^(32k - bits), one limb, and two_b <= 2^(bits-1), so
+        // lo + hi * two_b < 2^bits + 2^(32k-1) <= 2^(32k) stays in k
+        // limbs. Then a final conditional subtraction (2^bits < 2p).
+        let (top, r) = (k - 1, self.bits % 32);
+        if r != 0 {
+            loop {
+                let hi = acc[top] >> r;
+                if hi == 0 {
+                    break;
                 }
-                if rem != 0 {
-                    t[top] &= (1u32 << rem) - 1;
-                } else if top < t.len() {
-                    for limb in t.iter_mut().skip(top) {
-                        *limb = 0;
-                    }
-                }
-                t
-            };
-            v = Mp::from_limbs(&lo_limbs).add(&hi.mul(&self.two_b));
+                acc[top] &= (1 << r) - 1;
+                let carry = mp::mul_add_limb(&mut acc[..k], &self.two_b, hi);
+                debug_assert_eq!(carry, 0, "fold left k limbs");
+            }
         }
-        while v >= self.modulus_mp {
-            v = v.sub(&self.modulus_mp);
+        if mp::cmp(&acc[..k], &self.modulus) != Ordering::Less {
+            mp::sub_into(&mut acc[..k], &self.modulus);
         }
-        FpElement(v.to_limbs(k))
+        FpElement(InlineLimbs::from_slice(&acc[..k]))
     }
 
     /// `a^e mod p` by left-to-right square-and-multiply.
@@ -375,9 +383,9 @@ impl PrimeField {
     }
 
     fn check(&self, a: &FpElement) {
-        debug_assert_eq!(a.0.len(), self.k, "element belongs to another field");
+        debug_assert_eq!(a.limbs().len(), self.k, "element belongs to another field");
         debug_assert!(
-            mp::cmp(&a.0, &self.modulus) == Ordering::Less,
+            mp::cmp(a.limbs(), &self.modulus) == Ordering::Less,
             "element not reduced"
         );
     }
@@ -387,6 +395,7 @@ impl PrimeField {
 mod tests {
     use super::*;
     use crate::nist::NistPrime;
+    use crate::xprime::XPrime;
 
     fn all_fields() -> Vec<PrimeField> {
         NistPrime::ALL
@@ -432,16 +441,52 @@ mod tests {
 
     #[test]
     fn reduce_wide_extremes() {
-        for f in all_fields() {
+        // The NIST primes and the RFC 7748 ladder primes; the group-order
+        // fields are covered in ule-curves, which builds them.
+        let ladder = XPrime::ALL
+            .iter()
+            .map(|&x| PrimeField::new(x.name(), &x.modulus()));
+        let mut rng = ule_testkit::Rng::new(0x2ed0_c3e1);
+        for f in all_fields().into_iter().chain(ladder) {
             let k = f.k();
-            // All-ones double-width value.
-            let wide = vec![u32::MAX; 2 * k];
-            let got = f.reduce_wide(&wide);
-            let expect = Mp::from_limbs(&wide).rem(f.modulus());
-            assert_eq!(got.to_mp(), expect, "{}", f.name());
-            // Zero.
-            assert!(f.reduce_wide(&vec![0; 2 * k]).is_zero());
+            let mut inputs = vec![vec![0; 2 * k], vec![u32::MAX; 2 * k]];
+            inputs.extend((0..8).map(|_| rng.vec_u32(2 * k)));
+            for wide in inputs {
+                let got = f.reduce_wide(&wide);
+                let expect = Mp::from_limbs(&wide).rem(f.modulus());
+                assert_eq!(got.to_mp(), expect, "{} {wide:x?}", f.name());
+            }
         }
+    }
+
+    #[test]
+    fn equal_elements_from_different_paths_compare_and_hash_equal() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |e: &FpElement| {
+            let mut h = DefaultHasher::new();
+            e.hash(&mut h);
+            h.finish()
+        };
+        for f in all_fields() {
+            let a = f.from_u64(0x1234_5678_9abc_def1);
+            let b = f.from_mp(&f.modulus().sub(&Mp::from_u64(77)));
+            let diff = f.sub(&a, &b);
+            let direct = f.from_mp(&a.to_mp().add(&Mp::from_u64(77)));
+            assert_eq!(diff, direct, "{}", f.name());
+            assert_eq!(hash(&diff), hash(&direct), "{}", f.name());
+            let product = f.mul(&f.neg(&a), &f.neg(&b));
+            let from_limbs = f.from_limbs(f.mul(&a, &b).limbs());
+            assert_eq!(product, from_limbs, "{}", f.name());
+            assert_eq!(hash(&product), hash(&from_limbs), "{}", f.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_LIMBS")]
+    fn a_modulus_wider_than_max_limbs_is_refused_at_construction() {
+        let n = Mp::one().shl(32 * MAX_LIMBS).add(&Mp::one());
+        let _ = PrimeField::new("too wide", &n);
     }
 
     #[test]

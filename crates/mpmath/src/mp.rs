@@ -23,6 +23,10 @@ pub type Limb = u32;
 /// Number of bits in a [`Limb`].
 pub const LIMB_BITS: usize = 32;
 
+/// Widest field element the field contexts accept, in limbs: 18 limbs
+/// cover the 571 bits of B-571/K-571, the widest field of the study.
+pub const MAX_LIMBS: usize = 18;
+
 // ---------------------------------------------------------------------------
 // Slice primitives
 // ---------------------------------------------------------------------------
@@ -167,13 +171,26 @@ pub fn shl1_into(a: &mut [Limb]) -> bool {
 /// Operand-scanning ("school-book") multiplication — Algorithm 2 of the
 /// paper.
 ///
-/// Returns a product of `a.len() + b.len()` limbs. The outer loop iterates
-/// over the multiplier `b`, the inner loop over the multiplicand `a`,
-/// accumulating with the `(u, v) <- a[j] * b[i] + p[i+j] + u` multiply-add
-/// step that the baseline architecture's statically scheduled multiplier
-/// executes (§5.1.1).
+/// Returns a product of `a.len() + b.len()` limbs; see [`mul_into`].
 pub fn mul_operand_scanning(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
     let mut p = vec![0 as Limb; a.len() + b.len()];
+    mul_into(&mut p, a, b);
+    p
+}
+
+/// Operand-scanning multiplication into a caller-provided buffer:
+/// `p = a * b`. The outer loop iterates over the multiplier `b`, the inner
+/// loop over the multiplicand `a`, accumulating with the
+/// `(u, v) <- a[j] * b[i] + p[i+j] + u` multiply-add step that the
+/// baseline architecture's statically scheduled multiplier executes
+/// (§5.1.1).
+///
+/// # Panics
+///
+/// Panics if `p.len() != a.len() + b.len()`.
+pub fn mul_into(p: &mut [Limb], a: &[Limb], b: &[Limb]) {
+    assert_eq!(p.len(), a.len() + b.len(), "product width mismatch");
+    p.fill(0);
     for (i, &bi) in b.iter().enumerate() {
         let mut u = 0u64;
         for (j, &aj) in a.iter().enumerate() {
@@ -183,7 +200,6 @@ pub fn mul_operand_scanning(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
         }
         p[i + a.len()] = u as Limb;
     }
-    p
 }
 
 /// Product-scanning ("Comba") multiplication — Algorithm 3 of the paper.
@@ -247,6 +263,45 @@ pub fn mul_add_limb(acc: &mut [Limb], a: &[Limb], m: Limb) -> Limb {
         carry = sum >> LIMB_BITS;
     }
     carry as Limb
+}
+
+// ---------------------------------------------------------------------------
+// Inline field-element storage
+// ---------------------------------------------------------------------------
+
+/// Up to [`MAX_LIMBS`] little-endian limbs held inline: the first `len`
+/// are the value, every limb after them is zero, so the derived equality
+/// and hash see only the value.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) struct InlineLimbs {
+    len: u8,
+    buf: [Limb; MAX_LIMBS],
+}
+
+impl InlineLimbs {
+    /// `len` zero limbs.
+    pub(crate) fn zero(len: usize) -> Self {
+        assert!(len <= MAX_LIMBS, "{len} limbs exceed MAX_LIMBS");
+        InlineLimbs {
+            len: len as u8,
+            buf: [0; MAX_LIMBS],
+        }
+    }
+
+    /// A copy of `limbs`.
+    pub(crate) fn from_slice(limbs: &[Limb]) -> Self {
+        let mut v = Self::zero(limbs.len());
+        v.as_mut_slice().copy_from_slice(limbs);
+        v
+    }
+
+    pub(crate) fn as_slice(&self) -> &[Limb] {
+        &self.buf[..self.len as usize]
+    }
+
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [Limb] {
+        &mut self.buf[..self.len as usize]
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -38,21 +38,7 @@ use crate::xlate::{
 use ule_isa::asm::Program;
 use ule_isa::instr::Instr;
 use ule_isa::reg::Reg;
-
-/// Carry-less 32x32 multiply (the `MULGF2` datapath primitive).
-fn clmul32(a: u32, b: u32) -> u64 {
-    let mut acc = 0u64;
-    let mut a64 = a as u64;
-    let mut b = b;
-    while b != 0 {
-        if b & 1 == 1 {
-            acc ^= a64;
-        }
-        a64 <<= 1;
-        b >>= 1;
-    }
-    acc
-}
+use ule_mpmath::f2m::clmul32;
 
 /// Configuration of a simulated machine.
 #[derive(Clone, Copy, Debug)]
