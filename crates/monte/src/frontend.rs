@@ -18,7 +18,7 @@
 //!   cycle of buffer hand-off;
 //! * the four-deep instruction queue back-pressures Pete only when full.
 
-use crate::ffau::Ffau;
+use crate::ffau::{Ffau, Operand, BUFFER_LIMBS};
 use std::collections::VecDeque;
 use ule_isa::instr::Instr;
 use ule_pete::cop::{CopStats, Coprocessor};
@@ -121,11 +121,6 @@ impl Monte {
         }
     }
 
-    fn read_words(&mut self, ram: &mut Ram, addr: u32) -> Vec<u64> {
-        let words = ram.peek_words(addr, self.k);
-        words.iter().map(|&w| w as u64).collect()
-    }
-
     /// Executes the store waiting in the reservation register (if any):
     /// it may begin only after both the DMA engine and the computation it
     /// depends on are done.
@@ -148,7 +143,9 @@ impl Monte {
         .max(base)
     }
 
-    fn dma_load(&mut self, cycle: u64, addr: u32, ram: &mut Ram) -> (Vec<u64>, u64) {
+    /// DMA-loads `k` words at `addr` straight into operand buffer `op`;
+    /// returns the cycle the transfer completes.
+    fn dma_load(&mut self, cycle: u64, addr: u32, op: Operand, ram: &mut Ram) -> u64 {
         // Forwarding: a load of the address a (possibly still pending)
         // store wrote is satisfied from the result buffer.
         let forwarded = self.config.forwarding
@@ -173,7 +170,10 @@ impl Monte {
         self.stats.dma_cycles += dur;
         let done = start + dur;
         self.dma_free_at = done;
-        (self.read_words(ram, addr), done)
+        for (i, limb) in self.ffau.operand_mut(op, self.k).iter_mut().enumerate() {
+            *limb = ram.peek(addr + 4 * i as u32) as u64;
+        }
+        done
     }
 }
 
@@ -190,7 +190,14 @@ impl Coprocessor for Monte {
         match instr {
             Instr::Ctc2 { rd, .. } => {
                 match rd {
-                    0 => self.k = rt_value as usize,
+                    0 => {
+                        let k = rt_value as usize;
+                        assert!(
+                            (1..=BUFFER_LIMBS).contains(&k),
+                            "ctc2 k = {k}: Monte's FFAU buffers hold 1..={BUFFER_LIMBS} words"
+                        );
+                        self.k = k;
+                    }
                     1 => self.ffau.set_n0_prime(rt_value as u64),
                     2 => self.fold_mode = rt_value != 0,
                     3 => self.ffau.set_fold_c(rt_value as u64),
@@ -199,21 +206,13 @@ impl Coprocessor for Monte {
                     _ => {} // unused control registers
                 }
             }
-            Instr::Cop2LdA { .. } => {
-                let (words, done) = self.dma_load(cycle, rt_value, ram);
-                self.ffau.load_a(&words);
-                self.operands_ready_at = self.operands_ready_at.max(done);
-                self.inflight.push_back(done);
-            }
-            Instr::Cop2LdB { .. } => {
-                let (words, done) = self.dma_load(cycle, rt_value, ram);
-                self.ffau.load_b(&words);
-                self.operands_ready_at = self.operands_ready_at.max(done);
-                self.inflight.push_back(done);
-            }
-            Instr::Cop2LdN { .. } => {
-                let (words, done) = self.dma_load(cycle, rt_value, ram);
-                self.ffau.load_n(&words);
+            Instr::Cop2LdA { .. } | Instr::Cop2LdB { .. } | Instr::Cop2LdN { .. } => {
+                let op = match instr {
+                    Instr::Cop2LdA { .. } => Operand::A,
+                    Instr::Cop2LdB { .. } => Operand::B,
+                    _ => Operand::N,
+                };
+                let done = self.dma_load(cycle, rt_value, op, ram);
                 self.operands_ready_at = self.operands_ready_at.max(done);
                 self.inflight.push_back(done);
             }
@@ -246,8 +245,9 @@ impl Coprocessor for Monte {
                 self.stats.ls_ops += 1;
                 // Functional effect now; timing deferred until the
                 // computation completes (the reservation register).
-                let words: Vec<u32> = self.ffau.result().iter().map(|&w| w as u32).collect();
-                ram.poke_words(rt_value, &words);
+                for (i, &limb) in self.ffau.result().iter().enumerate() {
+                    ram.poke(rt_value + 4 * i as u32, limb as u32);
+                }
                 let ready_at = self.ffau_free_at.max(cycle);
                 if self.config.double_buffer {
                     self.pending_store = Some((rt_value, ready_at));
@@ -326,6 +326,19 @@ mod tests {
         assert_eq!(got, expect);
         // idle_at reflects DMA + compute time (well past issue cycles).
         assert!(m.idle_at() > 13 + Ffau::montmul_cycles(6, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "ctc2 k = 0: Monte's FFAU buffers hold 1..=72 words")]
+    fn ctc2_rejects_a_zero_width() {
+        Monte::new().issue(Instr::Ctc2 { rt: Reg::T0, rd: 0 }, 0, 0, &mut Ram::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "ctc2 k = 73: Monte's FFAU buffers hold 1..=72 words")]
+    fn ctc2_rejects_a_width_beyond_the_buffers() {
+        let k = BUFFER_LIMBS as u32 + 1;
+        Monte::new().issue(Instr::Ctc2 { rt: Reg::T0, rd: 0 }, k, 0, &mut Ram::new());
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub mod ffau;
 pub mod frontend;
 pub mod ucode;
 
-pub use ffau::{Ffau, FfauStats};
+pub use ffau::{Ffau, FfauStats, Operand, BUFFER_LIMBS};
 pub use frontend::{Monte, MonteConfig};
 pub use ucode::{assemble_addsub, assemble_cios, assemble_cmul_fold, MicroEngine};

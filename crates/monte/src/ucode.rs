@@ -22,6 +22,8 @@
 // iterator rewrites would obscure the correspondence.
 #![allow(clippy::needless_range_loop)]
 
+use crate::ffau::BUFFER_LIMBS;
+
 /// Control codes for the loop index registers (Table 5.5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum IdxCtl {
@@ -378,7 +380,7 @@ pub struct MicroEngine {
 
 /// State while executing one operation.
 struct Exec {
-    t: Vec<u128>,
+    t: [u128; BUFFER_LIMBS + 2],
     carry: u128,
     m: u128,
     /// add/sub output register file (reuses T memory).
@@ -407,19 +409,25 @@ impl MicroEngine {
         self.consts[slot] = value;
     }
 
-    /// Executes the program over the operand buffers, returning
-    /// `(result, cycles)`.
+    /// Executes the program over the operand buffers, writing the result
+    /// to `out`; returns the cycle count.
     ///
     /// # Panics
     ///
-    /// Panics if the program runs away (no `End` within a conservative
-    /// bound) — a microprogramming bug.
-    pub fn run(&self, a: &[u64], b: &[u64], n: &[u64], n0_prime: u64) -> (Vec<u64>, u64) {
+    /// Panics if a buffer is not `k` limbs long, if `k` exceeds
+    /// [`BUFFER_LIMBS`], or if the program runs away (no `End` within a
+    /// conservative bound) — a microprogramming bug.
+    pub fn run(&self, a: &[u64], b: &[u64], n: &[u64], n0_prime: u64, out: &mut [u64]) -> u64 {
         let k = self.consts[0] as usize;
         assert!(k > 0, "element width constant not loaded");
+        assert!(
+            k <= BUFFER_LIMBS,
+            "{k} limbs exceed the FFAU buffers' {BUFFER_LIMBS}"
+        );
         assert_eq!(a.len(), k);
         assert_eq!(b.len(), k);
         assert_eq!(n.len(), k);
+        assert_eq!(out.len(), k);
         let w = self.width;
         let mask: u128 = if w == 64 {
             u128::MAX >> 64
@@ -427,7 +435,7 @@ impl MicroEngine {
             (1u128 << w) - 1
         };
         let mut st = Exec {
-            t: vec![0u128; k + 2],
+            t: [0; BUFFER_LIMBS + 2],
             carry: 0,
             m: 0,
             out_carry: 0,
@@ -476,8 +484,10 @@ impl MicroEngine {
                     }
                 }
                 Seq::End => {
-                    let result = st.t[..k].iter().map(|&x| x as u64).collect();
-                    return (result, cycles);
+                    for (o, &x) in out.iter_mut().zip(&st.t) {
+                        *o = x as u64;
+                    }
+                    return cycles;
                 }
             }
         }
@@ -645,6 +655,13 @@ mod tests {
         v.to_limbs(k).iter().map(|&x| x as u64).collect()
     }
 
+    /// [`MicroEngine::run`] into a fresh buffer: `(result, cycles)`.
+    fn run(eng: &MicroEngine, a: &[u64], b: &[u64], n: &[u64], n0: u64) -> (Vec<u64>, u64) {
+        let mut out = vec![0; a.len()];
+        let cycles = eng.run(a, b, n, n0, &mut out);
+        (out, cycles)
+    }
+
     #[test]
     fn cios_microprogram_fits_the_store() {
         assert!(assemble_cios().len() <= UCODE_ENTRIES);
@@ -694,7 +711,7 @@ mod tests {
                 eng.set_const(2, c);
                 for a in &cases {
                     let al = limbs64(a, k);
-                    let (result, cycles) = eng.run(&al, &al, &limbs64(&p, k), 0);
+                    let (result, cycles) = run(&eng, &al, &al, &limbs64(&p, k), 0);
                     let expect = xp.reduce(&a.mul(&Mp::from_u64(c)));
                     assert_eq!(
                         result,
@@ -731,7 +748,8 @@ mod tests {
             eng.set_const(0, k as u64);
             let a = p.sub(&Mp::from_u64(987_654_321));
             let b = p.sub(&Mp::from_u64(13));
-            let (result, cycles) = eng.run(
+            let (result, cycles) = run(
+                &eng,
                 &limbs64(&a, k),
                 &limbs64(&b, k),
                 &limbs64(&p, k),
@@ -757,12 +775,12 @@ mod tests {
         eng.set_const(0, k as u64);
         let a = p.sub(&Mp::from_u64(5));
         let b = p.sub(&Mp::from_u64(7));
-        let (sum, c_add) = eng.run(&limbs64(&a, k), &limbs64(&b, k), &limbs64(&p, k), 0);
+        let (sum, c_add) = run(&eng, &limbs64(&a, k), &limbs64(&b, k), &limbs64(&p, k), 0);
         let expect = a.add(&b).rem(&p);
         assert_eq!(sum, limbs64(&expect, k));
         let mut eng = MicroEngine::new(32, assemble_addsub(true));
         eng.set_const(0, k as u64);
-        let (diff, _) = eng.run(&limbs64(&b, k), &limbs64(&a, k), &limbs64(&p, k), 0);
+        let (diff, _) = run(&eng, &limbs64(&b, k), &limbs64(&a, k), &limbs64(&p, k), 0);
         // b - a = -2 mod p = p - 2
         assert_eq!(diff, limbs64(&p.sub(&Mp::from_u64(2)), k));
         // add/sub is a single pipelined pass: O(k) cycles.
@@ -781,7 +799,8 @@ mod tests {
             eng.set_const(0, k as u64);
             let a = Mp::from_u64(123_456_789);
             let b = Mp::from_u64(42);
-            let (result, _) = eng.run(
+            let (result, _) = run(
+                &eng,
                 &limbs64(&a, k),
                 &limbs64(&b, k),
                 &limbs64(&p, k),

@@ -31,7 +31,8 @@ fn main() {
         let a64: Vec<u64> = a.to_limbs(k).iter().map(|&x| x as u64).collect();
         let b64: Vec<u64> = b.to_limbs(k).iter().map(|&x| x as u64).collect();
         let n64: Vec<u64> = p.to_limbs(k).iter().map(|&x| x as u64).collect();
-        let (result, cycles) = engine.run(&a64, &b64, &n64, mont.n0_prime() as u64);
+        let mut result = vec![0; k];
+        let cycles = engine.run(&a64, &b64, &n64, mont.n0_prime() as u64, &mut result);
         // Check against the host Montgomery reference.
         let expect: Vec<u64> = mont
             .mul(&a.to_limbs(k), &b.to_limbs(k))
