@@ -33,7 +33,9 @@ use ule_bench::{metrics_out, ConfigKey, ExperimentId, Job, SweepEngine};
 use ule_core::attr;
 use ule_core::metrics::arch_key;
 use ule_core::{RunOptions, System, SystemConfig, Workload};
+use ule_dse::journal::JournalError;
 use ule_obs::trace_events::TraceEventsBuf;
+use ule_pete::cpu::EngineTier;
 use ule_swlib::builder::Arch;
 
 /// Why a subcommand stopped early: `message` goes to stderr and `code`
@@ -110,7 +112,9 @@ fn run_check(args: cli::CheckArgs) -> Outcome {
             ))
         }),
         (&args.journal, "explorer journal", |text, _| {
-            let s = ule_dse::journal::read_journal(text)?.stats;
+            let s = ule_dse::journal::read_journal(text)
+                .map_err(|e| e.to_string())?
+                .stats;
             let mut line = format!(
                 "{} design points, {} frontier points, {} summary",
                 s.design_points, s.frontier_points, s.summaries
@@ -163,18 +167,18 @@ fn run_check(args: cli::CheckArgs) -> Outcome {
 
 /// `repro profile`: simulate one design point with a profiler attached
 /// and print the per-routine energy attribution table. The reference
-/// tier attaches the exact per-instruction profiler (full call graph);
-/// `--tier fast` attaches the sampled profiler and runs on the fast
-/// engine (exact totals, stride-bounded per-routine split, no call
-/// graph).
+/// tier takes the exact profile (full call graph); `--tier fast` runs
+/// on the fast engine and takes the sampled profile (exact totals,
+/// stride-bounded per-routine split, no call graph).
 fn run_profile(args: cli::ProfileArgs) -> Outcome {
     let config = SystemConfig::new(args.curve, args.arch);
     let label = ConfigKey::new(config, args.workload).label();
-    let opts = if args.fast_tier {
-        RunOptions::new(args.workload).sampled()
+    let tier = if args.fast_tier {
+        EngineTier::Fast
     } else {
-        RunOptions::new(args.workload).profiled()
+        EngineTier::Reference
     };
+    let opts = RunOptions::new(args.workload).profiled().with_tier(tier);
     let started = std::time::Instant::now();
     let report = System::new(config).run_with(opts);
     let wall = started.elapsed();
@@ -215,9 +219,9 @@ fn run_profile(args: cli::ProfileArgs) -> Outcome {
     Ok(0)
 }
 
-/// `repro overhead`: A/B the sampled profiler's wall-clock cost against
-/// a *ballast* run of the same point — a sampler configured with a
-/// stride so large it never fires. Both arms therefore allocate the
+/// `repro overhead`: A/B the sampled profile's wall-clock cost against
+/// a *ballast* run of the same point — a fast-tier profiler configured
+/// with a stride so large it never samples. Both arms therefore allocate the
 /// identical profiler machinery (same heap layout, same code paths up
 /// to the stride check), so the measured delta is the marginal cost of
 /// samples actually firing, not allocator noise. This is what lets CI
@@ -235,11 +239,13 @@ fn run_overhead(args: cli::OverheadArgs) -> Outcome {
         let report = system.run_with(*opts);
         (t0.elapsed(), report)
     };
-    // The baseline arm carries the same sampler machinery with a
+    // The baseline arm carries the same profiler machinery with a
     // stride (2^40) no fast-tier run ever reaches, so the only
     // difference between the arms is samples firing.
-    let plain = RunOptions::new(args.workload).sampled_with_stride(1 << 40);
-    let sampled = RunOptions::new(args.workload).sampled();
+    let sampled = RunOptions::new(args.workload)
+        .profiled()
+        .with_tier(EngineTier::Fast);
+    let plain = sampled.with_sample_stride(1 << 40);
     let (_, base_report) = time(&plain);
     let (_, sampled_report) = time(&sampled);
     assert_eq!(
@@ -519,7 +525,9 @@ fn run_explore(args: cli::ExploreArgs) -> Outcome {
         let outcome = ule_dse::journal::read_journal(&read_file(path)?)
             .and_then(|j| {
                 j.outcome.ok_or_else(|| {
-                    "journal has no dse_summary record (incomplete exploration?)".into()
+                    JournalError::Invalid(
+                        "journal has no dse_summary record (incomplete exploration?)".into(),
+                    )
                 })
             })
             .map_err(|e| fail(2, format!("{}: {e}", path.display())))?;

@@ -217,8 +217,8 @@ table! {
     [Overhead] "--arch" Arch 1 "baseline" "architecture";
     [Profile Overhead] "--workload" Workload 1 "sign" "workload (xdh and handshake need an \
         RFC 7748 curve: X25519 or X448)";
-    [Profile] "--tier" Tier 1 "reference" "reference: exact profiler with full call graph; \
-        fast: sampled profiler on the fast engine (exact totals, approximate split)";
+    [Profile] "--tier" Tier 1 "reference" "reference: exact profile with full call graph; \
+        fast: sampled profile on the fast engine (exact totals, approximate split)";
     [Profile] "--top" Index 1 "20" "table rows before aggregation (0 = all)";
     [Profile] "--flame" Path 1 - "also write collapsed flamegraph stacks (reference tier)";
     [Profile] "--trace-events" Path 1 - "also write Chrome trace-event JSON (reference tier)";
@@ -284,8 +284,8 @@ subs! {
         consumer would. Exit 1 if any is invalid.";
     Profile "repro profile" "[options]" "Simulates one design point with per-routine energy \
         attribution.";
-    Overhead "repro overhead" "[options]" "Sampled-profiler wall-clock A/B against a \
-        never-firing ballast sampler. Exit 1 above --max-pct.";
+    Overhead "repro overhead" "[options]" "Sampled-profile wall-clock A/B against a \
+        never-sampling ballast profiler. Exit 1 above --max-pct.";
     Serve "repro serve" "[options]" "Batched signing/verification service model. Exit 1 if a \
         batch verdict disagrees with single verification.";
     Explore "repro explore" "[options]" "Design-space exploration with Pareto extraction.";
@@ -481,7 +481,7 @@ args! {
         max_p99: Option<u64> = p.get("--max-p99"),
     }
     /// `repro profile` of one valid design point; with `fast_tier` (the
-    /// sampled profiler on the fast engine) there are no exports.
+    /// sampled profile on the fast engine) there are no exports.
     ProfileArgs {
         curve: CurveId = p.one("--curve"),
         arch: Arch = p.one("--arch"),
@@ -827,7 +827,7 @@ impl Parsed {
                 if args.fast_tier && (args.flame.is_some() || args.trace_events.is_some()) {
                     return Err(p.conflict(
                         "--flame/--trace-events need the call graph, which \
-                        the sampled profiler does not build; drop --tier fast",
+                        the sampled profile does not have; drop --tier fast",
                     ));
                 }
                 p.check_point(args.curve, args.arch, args.workload)?;

@@ -753,14 +753,6 @@ pub fn all(r: &SweepEngine) -> String {
     out
 }
 
-/// Dispatch by experiment id string (`"all"` runs everything).
-pub fn by_name(name: &str, r: &SweepEngine) -> Option<String> {
-    if name == "all" {
-        return Some(all(r));
-    }
-    ExperimentId::from_str(name).ok().map(|id| id.run(r))
-}
-
 /// Typed identifier for every reproduced table/figure — the dispatch,
 /// parsing, and batch-planning surface of the harness.
 ///

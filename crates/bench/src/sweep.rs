@@ -48,7 +48,7 @@ use ule_core::space::sim_point;
 use ule_core::{MultVariant, RunOptions, RunReport, System, SystemConfig, Workload};
 use ule_curves::params::CurveId;
 use ule_monte::MonteConfig;
-use ule_pete::icache::CacheConfig;
+use ule_pete::icache::{CacheConfig, DEFAULT_MISS_PENALTY};
 use ule_swlib::builder::Arch;
 
 /// One design point plus the workload to run on it — a batch job.
@@ -76,8 +76,9 @@ impl ConfigKey {
     }
 
     /// Compact human/machine label, e.g.
-    /// `P-192/monte/sign_verify` with non-default knobs appended
-    /// (`ic1024p`, `d4`, …) — used by trace events and the engine
+    /// `P-192/monte/sign_verify` with every knob that departs from
+    /// `SystemConfig::new` appended (`ic1024p`, `d4`, …), so distinct
+    /// points get distinct labels — used by trace events and the engine
     /// summary of `--metrics-out`.
     pub fn label(&self) -> String {
         let c = &self.config;
@@ -94,12 +95,18 @@ impl ConfigKey {
                 if ic.prefetch { "p" } else { "" },
                 if ic.ideal { "i" } else { "" }
             ));
+            if ic.miss_penalty != DEFAULT_MISS_PENALTY {
+                s.push_str(&format!("/mp{}", ic.miss_penalty));
+            }
         }
         if !c.monte.double_buffer {
             s.push_str("/nodb");
         }
         if !c.monte.forwarding {
             s.push_str("/nofwd");
+        }
+        if c.monte.queue_depth != MonteConfig::default().queue_depth {
+            s.push_str(&format!("/q{}", c.monte.queue_depth));
         }
         if c.billie_digit != 3 {
             s.push_str(&format!("/d{}", c.billie_digit));

@@ -31,10 +31,8 @@ fn journal() -> String {
     let outcome = ExploreOutcome {
         space: "billie-digit".into(),
         workload,
-        strategy: "grid".into(),
         seed: 0,
         lattice_points: 1,
-        pruned: 0,
         evaluated: 1,
         resumed: 0,
         simulated: 0,

@@ -67,10 +67,8 @@ fn metrics_schema_matches_golden() {
     let outcome = ule_dse::ExploreOutcome {
         space: "smoke".into(),
         workload: jobs[0].1,
-        strategy: "grid".into(),
         seed: 0,
         lattice_points: 1,
-        pruned: 0,
         evaluated: 1,
         resumed: 0,
         simulated: 0,

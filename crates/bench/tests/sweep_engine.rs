@@ -280,3 +280,75 @@ fn mult_variant_factor_is_single_sourced() {
         last_factor = v.factor();
     }
 }
+
+/// Every one-knob change from `SystemConfig::new` gets a label of its
+/// own under both label functions (the sweep engine's `ConfigKey` and
+/// the explorer's frontier label), and default points keep their
+/// labels.
+#[test]
+fn every_one_knob_change_gets_a_distinct_label() {
+    for (curve, arch) in [
+        (CurveId::P192, Arch::Monte),
+        (CurveId::K163, Arch::Billie),
+        (CurveId::P256, Arch::IsaExt),
+    ] {
+        let base = SystemConfig::new(curve, arch);
+        let mut points = vec![base];
+        let mut cache = |f: &dyn Fn(&mut CacheConfig)| {
+            let mut c = CacheConfig::real(4096, false);
+            f(&mut c);
+            points.push(base.with_icache(c));
+        };
+        cache(&|_| {});
+        for size in [16, 32, 512, 1024] {
+            cache(&|c| c.size_bytes = size);
+        }
+        cache(&|c| c.prefetch = true);
+        cache(&|c| c.ideal = true);
+        cache(&|c| c.miss_penalty = 5);
+        let mut knob = |f: &dyn Fn(&mut SystemConfig)| {
+            let mut c = base;
+            f(&mut c);
+            points.push(c);
+        };
+        knob(&|c| c.monte.double_buffer = false);
+        knob(&|c| c.monte.forwarding = false);
+        knob(&|c| c.monte.queue_depth = 2);
+        knob(&|c| c.billie_digit = 4);
+        knob(&|c| c.billie_sram_rf = true);
+        knob(&|c| c.mult_variant = MultVariant::OperandScan);
+        knob(&|c| c.mult_variant = MultVariant::Parallel);
+        knob(&|c| c.gating = Gating::Clock);
+        knob(&|c| c.gating = Gating::Power);
+        let key_labels: Vec<String> = points
+            .iter()
+            .map(|&c| ConfigKey::new(c, Workload::Sign).label())
+            .collect();
+        let dse_labels: Vec<String> = points.iter().map(ule_dse::explore::label).collect();
+        for labels in [&key_labels, &dse_labels] {
+            let distinct: std::collections::HashSet<&String> = labels.iter().collect();
+            assert_eq!(distinct.len(), points.len(), "{labels:#?}");
+        }
+    }
+    // Default points keep their labels byte for byte.
+    let p192 = SystemConfig::new(CurveId::P192, Arch::Monte);
+    let k163 = SystemConfig::new(CurveId::K163, Arch::Billie);
+    assert_eq!(
+        ConfigKey::new(p192, Workload::SignVerify).label(),
+        "P-192/monte/sign_verify"
+    );
+    assert_eq!(ule_dse::explore::label(&p192), "P-192 monte");
+    assert_eq!(ule_dse::explore::label(&k163), "K-163 billie d3");
+    assert_eq!(
+        ule_dse::explore::label(&p192.with_icache(CacheConfig::real(4096, true))),
+        "P-192 monte i$4K+pf"
+    );
+    assert_eq!(
+        ConfigKey::new(
+            p192.with_icache(CacheConfig::real(4096, true)),
+            Workload::Sign
+        )
+        .label(),
+        "P-192/monte/sign/ic4096p"
+    );
+}

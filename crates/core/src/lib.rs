@@ -299,7 +299,11 @@ pub fn supports(curve: CurveId, arch: Arch, workload: Workload) -> bool {
     validate_workload(curve, arch, workload).is_ok()
 }
 
-/// Whether a run collects the per-routine cycle profile.
+/// Whether a run collects the per-routine cycle profile. The engine
+/// tier decides its kind: `Auto` and `Reference` take the exact
+/// profile with its call graph, `Fast` a sampled one with exact
+/// totals, an approximate per-routine split and an empty call graph
+/// (see `ule_pete::profile::Profiler`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ProfileMode {
     /// Follow the global [`ule_obs::set_profiling`] flag (the default).
@@ -308,12 +312,6 @@ pub enum ProfileMode {
     /// Profile this run regardless of the flag — the report's `profile`
     /// is always `Some`.
     On,
-    /// Sampled profiling: stride-based attribution that rides the fast
-    /// engine instead of forcing the reference interpreter. The
-    /// report's `profile` is always `Some`, with exact totals, an
-    /// approximate per-routine split, and an empty call graph (see
-    /// `ule_pete::profile::SampledProfiler`).
-    Sampled,
     /// Never profile this run.
     Off,
 }
@@ -333,8 +331,8 @@ pub struct RunOptions {
     pub profile: ProfileMode,
     /// Execution-engine tier (default: fast when unprofiled).
     pub tier: EngineTier,
-    /// Sampled-profiler stride override for this run; `None` follows
-    /// `ULE_SAMPLE_STRIDE` / the built-in default. Lets A/B harnesses
+    /// Stride override for a sampled (fast-tier) profile; `None` keeps
+    /// `ule_pete::profile::DEFAULT_SAMPLE_STRIDE`. Lets A/B harnesses
     /// (e.g. `repro overhead`) hold the profiler machinery constant
     /// while varying only how often it fires.
     pub sample_stride: Option<u64>,
@@ -357,19 +355,11 @@ impl RunOptions {
         self
     }
 
-    /// Selects sampled profiling for this run (fast-tier eligible).
-    pub fn sampled(mut self) -> Self {
-        self.profile = ProfileMode::Sampled;
-        self
-    }
-
-    /// Selects sampled profiling with an explicit stride (in cycles),
-    /// ignoring `ULE_SAMPLE_STRIDE`. Totals are exact at any stride; an
-    /// astronomically large stride yields a profiler that attaches but
-    /// never fires — the ballast arm of the overhead A/B measurement.
-    pub fn sampled_with_stride(mut self, stride: u64) -> Self {
-        assert!(stride > 0, "sample stride must be positive");
-        self.profile = ProfileMode::Sampled;
+    /// Overrides the sampled profile's stride (in cycles). Totals are
+    /// exact at any stride; an astronomically large stride yields a
+    /// profiler that attaches but never samples — the ballast arm of
+    /// the overhead A/B measurement.
+    pub fn with_sample_stride(mut self, stride: u64) -> Self {
         self.sample_stride = Some(stride);
         self
     }
@@ -501,7 +491,9 @@ impl System {
         &self.suite
     }
 
-    fn machine(&self, profile: ProfileKind) -> Machine {
+    /// A machine for this system, profiled at the given sampled-profile
+    /// stride when `profile` is `Some`.
+    fn machine(&self, profile: Option<u64>) -> Machine {
         let mut mc = match self.config.arch {
             Arch::Baseline => MachineConfig::baseline(),
             _ => MachineConfig::isa_ext(),
@@ -519,10 +511,9 @@ impl System {
             _ => b,
         };
         let instr = match profile {
-            ProfileKind::None => Instrumentation::none(),
-            ProfileKind::Exact => Instrumentation::profile(&self.suite.program.text_symbols()),
-            ProfileKind::Sampled(stride) => {
-                Instrumentation::sampled_profile(&self.suite.program.text_symbols(), stride)
+            None => Instrumentation::none(),
+            Some(stride) => {
+                Instrumentation::profile(&self.suite.program.text_symbols()).sample_stride(stride)
             }
         };
         b.instrumentation(instr).build()
@@ -554,30 +545,28 @@ impl System {
     /// # Panics
     ///
     /// Panics if the simulated outputs disagree with the host reference —
-    /// a wrong-but-fast simulation must never produce a data point. Also
-    /// panics when the options force both profiling and the fast engine
-    /// tier (the fast engine carries no attribution plumbing).
+    /// a wrong-but-fast simulation must never produce a data point.
     pub fn run_with(&self, opts: RunOptions) -> RunReport {
-        let profile = match opts.profile {
+        let profiled = match opts.profile {
             // The global flag is read once per run so a report is
             // internally consistent even if the flag changes
             // concurrently.
-            ProfileMode::Auto if ule_obs::profiling_enabled() => ProfileKind::Exact,
-            ProfileMode::Auto | ProfileMode::Off => ProfileKind::None,
-            ProfileMode::On => ProfileKind::Exact,
-            ProfileMode::Sampled => {
-                ProfileKind::Sampled(opts.sample_stride.unwrap_or_else(sample_stride))
-            }
+            ProfileMode::Auto => ule_obs::profiling_enabled(),
+            ProfileMode::On => true,
+            ProfileMode::Off => false,
         };
-        self.run_inner(opts.workload, profile, opts.tier)
+        let stride = opts
+            .sample_stride
+            .unwrap_or(ule_pete::profile::DEFAULT_SAMPLE_STRIDE);
+        self.run_inner(opts.workload, profiled.then_some(stride), opts.tier)
     }
 
-    fn run_inner(&self, workload: Workload, profile: ProfileKind, tier: EngineTier) -> RunReport {
+    fn run_inner(&self, workload: Workload, profile: Option<u64>, tier: EngineTier) -> RunReport {
         if let Err(e) = validate_workload(self.config.curve, self.config.arch, workload) {
             panic!("{e}");
         }
         let mut total = RunAccum::default();
-        if profile != ProfileKind::None {
+        if profile.is_some() {
             total.profile = Some(RoutineProfile::default());
         }
         if workload.is_ladder() {
@@ -614,7 +603,7 @@ impl System {
 
     /// One full Montgomery ladder (`main_xdh`) with deterministic
     /// handshake inputs, checked bit-for-bit against the host ladder.
-    fn accum_xdh(&self, profile: ProfileKind, tier: EngineTier, total: &mut RunAccum) {
+    fn accum_xdh(&self, profile: Option<u64>, tier: EngineTier, total: &mut RunAccum) {
         let k = self.suite.k;
         let mc = self.curve.mont();
         // Our static key and the peer's ephemeral key: raw (unclamped)
@@ -645,7 +634,7 @@ impl System {
     fn accum_ecdsa(
         &self,
         workload: Workload,
-        profile: ProfileKind,
+        profile: Option<u64>,
         tier: EngineTier,
         total: &mut RunAccum,
     ) {
@@ -733,37 +722,6 @@ impl System {
             .field("curve", self.config.curve.name())
             .field("cycles", m.cycles());
     }
-}
-
-/// The sampled profiler's stride in cycles:
-/// [`ule_pete::profile::DEFAULT_SAMPLE_STRIDE`] unless overridden by
-/// the `ULE_SAMPLE_STRIDE` environment variable (a positive integer;
-/// anything else warns once and falls back). Smaller strides tighten
-/// the per-routine split at proportionally more sampling work; totals
-/// are exact at any stride.
-fn sample_stride() -> u64 {
-    match std::env::var("ULE_SAMPLE_STRIDE") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                ule_obs::obs_warn_once!(
-                    "ULE_SAMPLE_STRIDE must be a positive integer; using the default",
-                    value = v.as_str(),
-                );
-                ule_pete::profile::DEFAULT_SAMPLE_STRIDE
-            }
-        },
-        Err(_) => ule_pete::profile::DEFAULT_SAMPLE_STRIDE,
-    }
-}
-
-/// Resolved per-run profiling choice ([`ProfileMode`] with `Auto`
-/// already folded against the global flag).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ProfileKind {
-    None,
-    Exact,
-    Sampled(u64),
 }
 
 struct WorkloadInputs {
@@ -924,7 +882,11 @@ mod tests {
     fn sampled_profile_preserves_report_and_sums_exactly() {
         let sys = System::new(SystemConfig::new(CurveId::P192, Arch::IsaExt));
         let plain = sys.run_with(RunOptions::new(Workload::SignVerify));
-        let sampled = sys.run_with(RunOptions::new(Workload::SignVerify).sampled());
+        let sampled = sys.run_with(
+            RunOptions::new(Workload::SignVerify)
+                .profiled()
+                .with_tier(EngineTier::Fast),
+        );
         assert_eq!(plain.cycles, sampled.cycles);
         assert_eq!(plain.counters, sampled.counters);
         assert_eq!(plain.raw, sampled.raw);
@@ -954,7 +916,12 @@ mod tests {
     fn sampled_stride_override_never_fires_but_totals_exact() {
         let sys = System::new(SystemConfig::new(CurveId::P192, Arch::IsaExt));
         let plain = sys.run_with(RunOptions::new(Workload::Sign));
-        let ballast = sys.run_with(RunOptions::new(Workload::Sign).sampled_with_stride(1 << 40));
+        let ballast = sys.run_with(
+            RunOptions::new(Workload::Sign)
+                .profiled()
+                .with_tier(EngineTier::Fast)
+                .with_sample_stride(1 << 40),
+        );
         assert_eq!(plain.cycles, ballast.cycles);
         assert_eq!(plain.counters, ballast.counters);
         assert_eq!(plain.energy, ballast.energy);

@@ -18,7 +18,6 @@ use crate::params::{Curve, CurveKind};
 use crate::prime::AffinePoint;
 use crate::scalar;
 use crate::sha256::Sha256;
-use ule_mpmath::fp::FpElement;
 use ule_mpmath::mp::Mp;
 
 /// A public key: a point on the curve, family-specific.
@@ -238,12 +237,6 @@ pub fn verify_prehashed(curve: &Curve, public: &PublicKey, e: &Mp, sig: &Signatu
 pub fn verify(curve: &Curve, public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
     let e = hash_to_scalar(curve, msg);
     verify_prehashed(curve, public, &e, sig)
-}
-
-/// Helper for simulated targets: the `r` component as a field element of
-/// the order field (used when cross-checking simulator RAM contents).
-pub fn r_as_order_element(curve: &Curve, sig: &Signature) -> FpElement {
-    curve.order_field().from_mp(&sig.r)
 }
 
 /// One signature in a batch-verification request: the prehashed message

@@ -107,16 +107,10 @@ pub struct ExploreOutcome {
     pub space: String,
     /// Workload every point ran.
     pub workload: Workload,
-    /// Strategy name: `"grid"` (journals written by the retired
-    /// `greedy` pruner still load with theirs).
-    pub strategy: String,
     /// Campaign seed, recorded in the journal.
     pub seed: u64,
     /// Size of the canonical lattice.
     pub lattice_points: usize,
-    /// Points left unevaluated: always 0 for a grid run (nonzero only
-    /// in journals of the retired `greedy` pruner).
-    pub pruned: usize,
     /// Points with results in the journal (resumed + evaluated now).
     pub evaluated: usize,
     /// Points recovered from the journal instead of re-evaluated.
@@ -218,10 +212,8 @@ pub fn explore(
     let outcome = ExploreOutcome {
         space: space.name.clone(),
         workload: space.workload,
-        strategy: "grid".to_owned(),
         seed,
         lattice_points: lattice.len(),
-        pruned: 0,
         evaluated,
         resumed,
         simulated,
@@ -270,18 +262,23 @@ fn rank_frontier(front: &ParetoFront) -> Vec<(usize, Objectives)> {
     v
 }
 
-/// A compact human label for a configuration: curve + arch plus only
-/// the knobs that depart from the defaults of `SystemConfig::new`.
+/// A compact human label for a configuration: curve + arch plus every
+/// knob that departs from the defaults of `SystemConfig::new`, so
+/// distinct points get distinct labels (Billie points always name
+/// their digit).
 pub fn label(config: &SystemConfig) -> String {
     use ule_core::metrics::{arch_key, gating_key, mult_variant_key};
-    use ule_energy::report::Gating;
     use ule_swlib::builder::Arch;
+    let default = SystemConfig::new(config.curve, config.arch);
     let mut s = format!("{} {}", config.curve.name(), arch_key(config.arch));
     if let Some(c) = config.icache {
         s.push_str(&format!(
-            " i${}{}{}",
-            c.size_bytes / 1024,
-            if c.size_bytes % 1024 == 0 { "K" } else { "B" },
+            " i${}{}",
+            if c.size_bytes % 1024 == 0 {
+                format!("{}K", c.size_bytes / 1024)
+            } else {
+                format!("{}B", c.size_bytes)
+            },
             if c.ideal {
                 "-ideal"
             } else if c.prefetch {
@@ -290,29 +287,30 @@ pub fn label(config: &SystemConfig) -> String {
                 ""
             },
         ));
-    }
-    if config.arch == Arch::Monte {
-        let d = config.monte;
-        if !d.double_buffer {
-            s.push_str(" -dbuf");
-        }
-        if !d.forwarding {
-            s.push_str(" -fwd");
-        }
-        if d.queue_depth != 4 {
-            s.push_str(&format!(" q{}", d.queue_depth));
+        if c.miss_penalty != ule_pete::icache::DEFAULT_MISS_PENALTY {
+            s.push_str(&format!(" mp{}", c.miss_penalty));
         }
     }
-    if config.arch == Arch::Billie {
+    let d = config.monte;
+    if !d.double_buffer {
+        s.push_str(" -dbuf");
+    }
+    if !d.forwarding {
+        s.push_str(" -fwd");
+    }
+    if d.queue_depth != default.monte.queue_depth {
+        s.push_str(&format!(" q{}", d.queue_depth));
+    }
+    if config.arch == Arch::Billie || config.billie_digit != default.billie_digit {
         s.push_str(&format!(" d{}", config.billie_digit));
-        if config.billie_sram_rf {
-            s.push_str(" sram-rf");
-        }
     }
-    if config.mult_variant != ule_core::MultVariant::Karatsuba {
+    if config.billie_sram_rf {
+        s.push_str(" sram-rf");
+    }
+    if config.mult_variant != default.mult_variant {
         s.push_str(&format!(" {}", mult_variant_key(config.mult_variant)));
     }
-    if config.gating != Gating::None {
+    if config.gating != default.gating {
         s.push_str(&format!(" {}-gated", gating_key(config.gating)));
     }
     s
@@ -350,12 +348,11 @@ pub fn render_report(
     let mut t = String::new();
     let _ = writeln!(
         t,
-        "frontier of space {:?} ({} points / {} evaluated / {} lattice, strategy {}):",
+        "frontier of space {:?} ({} points / {} evaluated / {} lattice):",
         outcome.space,
         outcome.frontier.len(),
         outcome.evaluated,
         outcome.lattice_points,
-        &outcome.strategy,
     );
     let _ = writeln!(
         t,

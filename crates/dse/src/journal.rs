@@ -55,10 +55,8 @@ pub fn dse_summary_record(outcome: &ExploreOutcome) -> Record {
     let mut r = Record::new("dse_summary");
     r.push("space", outcome.space.as_str());
     r.push("workload", workload_key(outcome.workload));
-    r.push("strategy", outcome.strategy.as_str());
     r.push("seed", outcome.seed);
     r.push("lattice_points", outcome.lattice_points);
-    r.push("pruned", outcome.pruned);
     r.push("evaluated", outcome.evaluated);
     r.push("frontier_size", outcome.frontier.len());
     r
@@ -148,6 +146,42 @@ pub struct JournalStats {
     pub unknown: usize,
 }
 
+/// Why [`read_journal`] refused a journal.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JournalError {
+    /// A `dse_summary` carries a key only the retired `greedy` strategy
+    /// wrote (`strategy`, `pruned`); such journals are no longer read.
+    RetiredKey {
+        /// 1-based line number of the summary.
+        line: usize,
+        /// The retired key.
+        key: &'static str,
+    },
+    /// Any other violation, described with its line.
+    Invalid(String),
+}
+
+impl std::fmt::Display for JournalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JournalError::RetiredKey { line, key } => write!(
+                f,
+                "line {line} (dse_summary): retired key {key:?} (journals of the \
+                 removed greedy strategy are no longer read)"
+            ),
+            JournalError::Invalid(e) => f.write_str(e),
+        }
+    }
+}
+
+impl std::error::Error for JournalError {}
+
+impl From<String> for JournalError {
+    fn from(e: String) -> Self {
+        JournalError::Invalid(e)
+    }
+}
+
 /// An exploration journal as [`read_journal`] reads it.
 #[derive(Clone, Debug)]
 pub struct Journal {
@@ -168,7 +202,7 @@ pub struct Journal {
 /// frontier ranks are contiguous in file order and every frontier
 /// point's identity also appears as a design point; the summary's
 /// counts agree with the records around it.
-pub fn read_journal(text: &str) -> Result<Journal, String> {
+pub fn read_journal(text: &str) -> Result<Journal, JournalError> {
     let mut stats = JournalStats::default();
     let mut design_identities = HashSet::new();
     let mut frontier: Vec<(String, FrontierEntry)> = Vec::new();
@@ -206,7 +240,8 @@ pub fn read_journal(text: &str) -> Result<Journal, String> {
                     return Err(format!(
                         "{ctx}: rank {rank} out of order (expected {})",
                         frontier.len()
-                    ));
+                    )
+                    .into());
                 }
                 let (identity, config, cycles, energy_uj) = point(&doc, &ctx)?;
                 let area_kge = field(&doc, &ctx, "area_kge", "a number", Json::as_f64)?;
@@ -226,6 +261,12 @@ pub fn read_journal(text: &str) -> Result<Journal, String> {
                 stats.frontier_points += 1;
             }
             "dse_summary" => {
+                if let Some(key) = ["strategy", "pruned"]
+                    .into_iter()
+                    .find(|k| doc.get(k).is_some())
+                {
+                    return Err(JournalError::RetiredKey { line: n, key });
+                }
                 let text = |key| field(&doc, &ctx, key, "a string", Json::as_str);
                 let count = |key| field(&doc, &ctx, key, "an integer", Json::as_u64);
                 let workload =
@@ -234,10 +275,8 @@ pub fn read_journal(text: &str) -> Result<Journal, String> {
                 let outcome = ExploreOutcome {
                     space: text("space")?.to_owned(),
                     workload,
-                    strategy: text("strategy")?.to_owned(),
                     seed: count("seed")?,
                     lattice_points: count("lattice_points")? as usize,
-                    pruned: count("pruned")? as usize,
                     evaluated: count("evaluated")? as usize,
                     resumed: 0,
                     simulated: 0,
@@ -254,7 +293,8 @@ pub fn read_journal(text: &str) -> Result<Journal, String> {
             return Err(format!(
                 "frontier point {id:?} has no matching design_point record \
                  (the frontier must be a subset of the evaluated set)"
-            ));
+            )
+            .into());
         }
     }
     if let Some((outcome, frontier_size)) = &mut summary {
@@ -262,13 +302,15 @@ pub fn read_journal(text: &str) -> Result<Journal, String> {
             return Err(format!(
                 "dse_summary says evaluated={} but the journal has {} design points",
                 outcome.evaluated, stats.design_points
-            ));
+            )
+            .into());
         }
         if *frontier_size as usize != stats.frontier_points {
             return Err(format!(
                 "dse_summary says frontier_size={frontier_size} but the journal has {} frontier records",
                 stats.frontier_points
-            ));
+            )
+            .into());
         }
         outcome.frontier = frontier.into_iter().map(|(_, e)| e).collect();
     }
@@ -314,10 +356,8 @@ mod tests {
         let outcome = ExploreOutcome {
             space: "s".into(),
             workload: Workload::ScalarMul,
-            strategy: "grid".into(),
             seed: 7,
             lattice_points: evaluated,
-            pruned: 0,
             evaluated,
             resumed: 0,
             simulated: 0,
@@ -378,14 +418,20 @@ mod tests {
     #[test]
     fn validator_rejects_inconsistencies() {
         // Frontier point without its design point.
-        let err = read_journal(&format!("{}\n", frontier_line(0))).unwrap_err();
+        let err = read_journal(&format!("{}\n", frontier_line(0)))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("no matching design_point"), "{err}");
         // Out-of-order rank.
-        let err = read_journal(&format!("{}\n{}\n", design_line(), frontier_line(1))).unwrap_err();
+        let err = read_journal(&format!("{}\n{}\n", design_line(), frontier_line(1)))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("rank 1 out of order"), "{err}");
         // Summary count mismatch.
         let s = summary_line(2, Vec::new());
-        let err = read_journal(&format!("{}\n{s}\n", design_line())).unwrap_err();
+        let err = read_journal(&format!("{}\n{s}\n", design_line()))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("evaluated=2"), "{err}");
         // Torn line is a hard error here (unlike resume).
         let good = design_line();
@@ -404,7 +450,7 @@ mod tests {
     fn assert_refused(from: &str, to: &str, key: &str) {
         let (design, frontier) = impossible(from, to);
         for (line, kind) in [(&design, "design_point"), (&frontier, "frontier")] {
-            let err = read_journal(line).unwrap_err();
+            let err = read_journal(line).unwrap_err().to_string();
             let named = format!("line 1 ({kind}): identity key {key:?}");
             assert!(err.starts_with(&named), "{err}");
         }
@@ -430,6 +476,26 @@ mod tests {
             r#""billie_digit":"x""#,
             "billie_digit",
         );
+    }
+
+    /// Summaries written by the retired `greedy` strategy carried
+    /// `strategy` and `pruned`; a journal that still has either is
+    /// refused with its own error, not read with the keys ignored.
+    #[test]
+    fn retired_summary_keys_are_refused() {
+        let summary = summary_line(1, vec![entry(0)]);
+        for (key, extra) in [
+            ("strategy", r#""strategy":"greedy","#),
+            ("pruned", r#""pruned":3,"#),
+        ] {
+            let old = summary.replacen(r#""seed""#, &format!(r#"{extra}"seed""#), 1);
+            let text = format!("{}\n{}\n{old}\n", design_line(), frontier_line(0));
+            let err = read_journal(&text).unwrap_err();
+            assert_eq!(err, JournalError::RetiredKey { line: 3, key });
+        }
+        // Without them the same journal reads.
+        let text = format!("{}\n{}\n{summary}\n", design_line(), frontier_line(0));
+        assert!(read_journal(&text).is_ok());
     }
 
     #[test]

@@ -41,7 +41,6 @@ fn billie_digit_grid_frontier_matches_golden() {
     let outcome = explore(&SimEval, &space, &mut Grid::new(), 0, None).expect("explore");
     assert_eq!(outcome.lattice_points, 48);
     assert_eq!(outcome.evaluated, 48);
-    assert_eq!(outcome.pruned, 0);
 
     const GOLDEN_CYCLES: [u64; 15] = [
         22377, 23191, 24120, 25068, 26023, 27958, 29941, 31927, 34906, 38878, 43852, 51820, 66514,

@@ -130,11 +130,6 @@ impl PrimeField {
         &self.modulus_mp
     }
 
-    /// Modulus as `k` little-endian limbs.
-    pub fn modulus_limbs(&self) -> &[Limb] {
-        &self.modulus
-    }
-
     /// Element width in limbs (`k = ceil(bits/32)`).
     pub fn k(&self) -> usize {
         self.k

@@ -153,18 +153,6 @@ impl NistBinary {
             NistBinary::B571 => "B-571",
         }
     }
-
-    /// The prime field of *equivalent security* the paper pairs this binary
-    /// field with (Fig 7.7: 192/163, 224/233, 256/283, 384/409, 521/571).
-    pub fn paired_prime(self) -> NistPrime {
-        match self {
-            NistBinary::B163 => NistPrime::P192,
-            NistBinary::B233 => NistPrime::P224,
-            NistBinary::B283 => NistPrime::P256,
-            NistBinary::B409 => NistPrime::P384,
-            NistBinary::B571 => NistPrime::P521,
-        }
-    }
 }
 
 #[cfg(test)]

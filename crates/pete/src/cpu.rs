@@ -21,17 +21,20 @@
 //!   only on a full coprocessor queue or on `cop2sync` (§5.4.1).
 //!
 //! Two execution engines implement this contract (DESIGN.md §6a):
-//! the **reference** interpreter ([`Machine::step`]-based, carries the
-//! per-routine profiler and activity attribution) and the **fast**
-//! engine (translation cache + fused superinstructions, no
-//! instrumentation plumbing). Cycles, every [`Counters`] field, and all
+//! the **reference** interpreter ([`Machine::step`]-based; bills an
+//! attached profiler exactly, at routine changes and calls/returns)
+//! and the **fast** engine (translation cache + fused
+//! superinstructions; bills an attached profiler at sampled block
+//! boundaries). Cycles, every [`Counters`] field, and all
 //! memory-system statistics are bit-identical between the two; the
 //! fast engine is an optimisation, never a second semantics.
 
 use crate::cop::{CopStats, Coprocessor, NoCoprocessor};
 use crate::icache::{CacheConfig, CacheStats, ICache};
 use crate::mem::{MemStats, Ram, Rom};
-use crate::profile::{ActivitySlice, ControlEvent, PcProfiler, RoutineProfile, SampledProfiler};
+use crate::profile::{
+    ActivitySlice, ControlEvent, Profiler, RoutineProfile, Tally, DEFAULT_SAMPLE_STRIDE,
+};
 use crate::xlate::{
     self, AluKind, AluOp, BOp, BrBlock, BrCond, BranchOp, MemOp, Term, XOp, XTable,
 };
@@ -175,14 +178,15 @@ pub enum RunExit {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineTier {
     /// Fast when the machine carries no instrumentation, reference
-    /// otherwise. The right choice everywhere outside A/B tests.
+    /// (and so an exact profile) otherwise. The right choice
+    /// everywhere outside A/B tests.
     #[default]
     Auto,
-    /// Force the translated/fused fast engine. Requesting it on a
-    /// machine with a profiler attached is a programming error (the
-    /// fast engine has no attribution plumbing) and panics.
+    /// Force the translated/fused fast engine. An attached profiler
+    /// then takes a sampled profile.
     Fast,
-    /// Force the instrumented reference interpreter.
+    /// Force the reference interpreter. An attached profiler then
+    /// takes an exact profile.
     Reference,
 }
 
@@ -225,13 +229,12 @@ impl ExecOptions {
 
 /// What a machine observes about its own run — attached once, at build
 /// time, because it decides which engine [`EngineTier::Auto`] picks.
-/// Today that is the per-routine cycle profiler (exact, reference-only)
-/// or the sampled profiler (stride-based, runs on either tier); a
-/// trace sink would slot in here the same way.
+/// Today that is the per-routine [`Profiler`]; a trace sink would slot
+/// in here the same way.
 #[derive(Clone, Debug, Default)]
 pub struct Instrumentation {
-    profile_symbols: Option<Vec<(u32, String)>>,
-    sampled: Option<(Vec<(u32, String)>, u64)>,
+    /// Routine table and sampled-schedule stride of the profiler.
+    profile: Option<(Vec<(u32, String)>, u64)>,
 }
 
 impl Instrumentation {
@@ -241,33 +244,24 @@ impl Instrumentation {
     }
 
     /// Per-routine cycle/activity profiling over the given routine
-    /// table (from `Program::text_symbols`). `Auto` then runs the
-    /// reference engine, which carries the attribution plumbing.
+    /// table (from `Program::text_symbols`). `Auto` and `Reference`
+    /// then run the reference engine and take an exact profile with a
+    /// call graph; `Fast` takes a sampled profile (exact totals, an
+    /// approximate split, no call graph) at the default stride.
     pub fn profile(text_symbols: &[(u32, String)]) -> Self {
         Instrumentation {
-            profile_symbols: Some(text_symbols.to_vec()),
-            sampled: None,
+            profile: Some((text_symbols.to_vec(), DEFAULT_SAMPLE_STRIDE)),
         }
     }
 
-    /// Stride-based sampled profiling over the same routine table —
-    /// attribution at block boundaries instead of per instruction, so
-    /// `Auto` still runs the **fast** engine. Totals are exact
-    /// (telescoping intervals); the per-routine split is approximate
-    /// with error bounded by the stride. See
-    /// [`SampledProfiler`](crate::profile::SampledProfiler).
-    pub fn sampled_profile(text_symbols: &[(u32, String)], stride: u64) -> Self {
-        Instrumentation {
-            profile_symbols: None,
-            sampled: Some((text_symbols.to_vec(), stride)),
+    /// Overrides the mean stride (in cycles) of the sampled schedule a
+    /// fast-tier run bills by. Totals are exact at any stride; one too
+    /// large to be reached attaches a profiler that never samples.
+    pub fn sample_stride(mut self, stride: u64) -> Self {
+        if let Some((_, s)) = &mut self.profile {
+            *s = stride;
         }
-    }
-
-    /// True when nothing is attached. A sampled profiler does **not**
-    /// make the machine non-inert for tier selection — it rides the
-    /// fast engine — but it is still an attachment.
-    pub fn is_inert(&self) -> bool {
-        self.profile_symbols.is_none() && self.sampled.is_none()
+        self
     }
 }
 
@@ -300,16 +294,8 @@ impl MachineBuilder<'_> {
         if let Some(cop) = self.cop {
             m.cop = cop;
         }
-        assert!(
-            !(self.instrumentation.profile_symbols.is_some()
-                && self.instrumentation.sampled.is_some()),
-            "attach either the exact profiler or the sampled profiler, not both"
-        );
-        if let Some(syms) = self.instrumentation.profile_symbols {
-            m.profiler = Some(Box::new(PcProfiler::new(&syms)));
-        }
-        if let Some((syms, stride)) = self.instrumentation.sampled {
-            m.sampler = Some(Box::new(SampledProfiler::new(&syms, stride)));
+        if let Some((syms, stride)) = self.instrumentation.profile {
+            m.profiler = Some(Box::new(Profiler::new(&syms, stride)));
         }
         m
     }
@@ -347,13 +333,10 @@ pub struct Machine {
     /// load (for the load-use interlock).
     last_load_dest: Option<Reg>,
     halted: Option<u16>,
-    /// Per-routine cycle profiler; `None` (the default) costs one
-    /// branch per step. Boxed so the unprofiled machine's layout stays
-    /// a single pointer wide here.
-    profiler: Option<Box<PcProfiler>>,
-    /// Stride-based sampled profiler; unlike `profiler` it rides the
-    /// fast engine (checked once per dispatch, not per instruction).
-    sampler: Option<Box<SampledProfiler>>,
+    /// Per-routine profiler; `None` (the default) costs one branch per
+    /// run. Boxed so the unprofiled machine's layout stays a single
+    /// pointer wide here.
+    profiler: Option<Box<Profiler>>,
 }
 
 impl Machine {
@@ -393,7 +376,6 @@ impl Machine {
             last_load_dest: None,
             halted: None,
             profiler: None,
-            sampler: None,
         }
     }
 
@@ -408,14 +390,11 @@ impl Machine {
         }
     }
 
-    /// Detaches the profiler (exact or sampled), returning the
-    /// per-routine breakdown accumulated so far (`None` if neither was
-    /// attached). A sampled profile carries an empty call graph.
+    /// Detaches the profiler, returning the per-routine breakdown
+    /// accumulated so far (`None` if none was attached). A profile with
+    /// any fast-tier (sampled) interval carries an empty call graph.
     pub fn take_profile(&mut self) -> Option<RoutineProfile> {
-        if let Some(p) = self.profiler.take() {
-            return Some(p.finish());
-        }
-        self.sampler.take().map(|s| s.finish())
+        self.profiler.take().map(|p| p.finish())
     }
 
     /// The data RAM (for injecting operands and reading results).
@@ -489,21 +468,10 @@ impl Machine {
 
     /// Runs until `break` or the cycle limit, on the engine tier the
     /// options select.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`EngineTier::Fast`] is forced on a machine with a
-    /// profiler attached (the fast engine cannot attribute cycles).
     pub fn run_with(&mut self, opts: ExecOptions) -> RunExit {
         let fast = match opts.tier {
             EngineTier::Auto => self.profiler.is_none(),
-            EngineTier::Fast => {
-                assert!(
-                    self.profiler.is_none(),
-                    "EngineTier::Fast on a profiled machine; use Auto or Reference"
-                );
-                true
-            }
+            EngineTier::Fast => true,
             EngineTier::Reference => false,
         };
         if fast {
@@ -514,10 +482,6 @@ impl Machine {
     }
 
     /// The reference-tier interpreter loop, bounded by `bound` cycles.
-    /// Both the uninstrumented and the sampled paths run this one
-    /// function, so sampling cannot perturb the loop it measures
-    /// (`inline(never)` keeps the compiler from re-specializing a copy
-    /// per call site).
     #[inline(never)]
     fn step_until(&mut self, bound: u64) {
         while self.halted.is_none() && self.cycle < bound {
@@ -525,23 +489,42 @@ impl Machine {
         }
     }
 
-    /// The instrumented reference interpreter.
+    /// Steps while the PC stays in `start..=last`, up to `bound`
+    /// cycles, and returns early after a retired instruction that moves
+    /// the shadow call stack: a link-register write is a call; a
+    /// register jump may be a return. `get(rs)` is still the jump
+    /// target after the step — `jr` writes no register and a linking
+    /// `jalr` is classified as a call, not a jump.
+    #[inline(never)]
+    fn step_within(&mut self, start: u32, last: u32, bound: u64) -> Option<ControlEvent> {
+        while self.halted.is_none() && self.cycle < bound {
+            let ret = self.pc.wrapping_add(8);
+            return Some(match self.step() {
+                Instr::Jal { .. } => ControlEvent::Call { ret },
+                Instr::Jalr { rd, .. } if rd != Reg::ZERO => ControlEvent::Call { ret },
+                Instr::Jalr { rs, .. } | Instr::Jr { rs } => ControlEvent::JumpReg {
+                    target: self.get(rs),
+                },
+                _ if (start..=last).contains(&self.pc) => continue,
+                _ => break,
+            });
+        }
+        None
+    }
+
+    /// The reference interpreter. An attached profiler takes an exact
+    /// profile: each interval runs inside one routine's PC range and
+    /// ends early at a call or register jump, so it bills one bucket
+    /// and one call-tree node — exactly what billing each retired
+    /// instruction would.
     fn run_reference(&mut self, max_cycles: u64) -> RunExit {
-        if let Some(mut s) = self.sampler.take() {
-            // Sampled profiling on the reference tier: the same
-            // boundary-sampling semantics as the fast engine, with a
-            // "block" being one instruction.
-            loop {
-                self.step_until(max_cycles.min(s.next_sample_at()));
-                if self.halted.is_some() || self.cycle >= max_cycles {
-                    break;
-                }
-                let act = self.activity_snapshot();
-                s.sample(self.pc, self.cycle, self.counters.instructions, &act);
+        if let Some(mut p) = self.profiler.take() {
+            while self.halted.is_none() && self.cycle < max_cycles {
+                let (start, last) = p.enter(self.pc);
+                let event = self.step_within(start, last, max_cycles);
+                p.boundary(&self.tally(), event);
             }
-            let act = self.activity_snapshot();
-            s.flush(self.pc, self.cycle, self.counters.instructions, &act);
-            self.sampler = Some(s);
+            self.profiler = Some(p);
         } else {
             self.step_until(max_cycles);
         }
@@ -554,9 +537,9 @@ impl Machine {
     /// The fast engine: dispatches pre-translated (and, where legal,
     /// fused) operations with no per-instruction instrumentation
     /// plumbing. Timing and counters are bit-identical to
-    /// [`Machine::run_reference`]. An attached [`SampledProfiler`] is
-    /// consulted once per dispatch, at block boundaries, in a
-    /// dedicated loop so the common uninstrumented path pays nothing.
+    /// [`Machine::run_reference`]. An attached profiler takes a sampled
+    /// profile, consulted once per dispatch span so the common
+    /// uninstrumented path pays nothing.
     fn run_fast(&mut self, max_cycles: u64) -> RunExit {
         if self.xops.is_none() {
             self.xops = Some(xlate::translate(&self.decoded));
@@ -564,29 +547,27 @@ impl Machine {
         // Move the table out for the duration of the loop so dispatch
         // needs no per-step Option check or re-borrow.
         let xt = self.xops.take().expect("translation table just built");
-        if let Some(mut s) = self.sampler.take() {
+        if let Some(mut p) = self.profiler.take() {
             // Sampled profiling runs the *same* dispatch loop as the
             // uninstrumented path ([`Machine::dispatch_fast_until`]),
             // bounded by the next stride threshold instead of the run
             // budget: the hot loop carries no extra state, and all
             // sampling work happens between spans. Each interval is
             // billed to the routine owning the PC at the first block
-            // boundary past the threshold; the activity snapshot is
-            // purely observational, so the run stays bit-identical to
-            // an unsampled one.
+            // boundary past the threshold; the tally is purely
+            // observational, so the run stays bit-identical to an
+            // unsampled one.
             loop {
-                self.dispatch_fast_until(&xt, max_cycles.min(s.next_sample_at()), max_cycles);
+                self.dispatch_fast_until(&xt, max_cycles.min(p.next_sample_at()), max_cycles);
                 if self.halted.is_some() || self.cycle >= max_cycles {
                     break;
                 }
-                let act = self.activity_snapshot();
-                s.sample(self.pc, self.cycle, self.counters.instructions, &act);
+                p.sample(self.pc, &self.tally());
             }
             // Flush the final partial interval so bucket totals equal
             // the headline counters exactly.
-            let act = self.activity_snapshot();
-            s.flush(self.pc, self.cycle, self.counters.instructions, &act);
-            self.sampler = Some(s);
+            p.flush(self.pc, &self.tally());
+            self.profiler = Some(p);
         } else {
             self.dispatch_fast_until(&xt, max_cycles, max_cycles);
         }
@@ -598,18 +579,8 @@ impl Machine {
     }
 
     /// Executes one architectural instruction (advancing time by its issue
-    /// cycle plus any stalls) on the reference engine.
-    fn step(&mut self) {
-        if self.halted.is_some() {
-            return;
-        }
-        let cycle_at_issue = self.cycle;
-        // Snapshot the counted memory/coprocessor statistics so the
-        // profiler can attribute this instruction's delta. All counted
-        // traffic happens inside `step` (harness pokes/peeks are
-        // uncounted), so the per-routine slices sum exactly to the
-        // run's `RawStats`.
-        let activity_before = self.profiler.is_some().then(|| self.activity_snapshot());
+    /// cycle plus any stalls) on the reference engine, returning it.
+    fn step(&mut self) -> Instr {
         let branch_target = self.pending_branch.take();
         let pc = self.pc;
         let instr = self.fetch(pc);
@@ -634,31 +605,7 @@ impl Machine {
             None => self.pc = next_pc,
         }
 
-        // `cycle` only advances inside `step`, so attributing the delta
-        // to this instruction's PC makes the routine buckets sum
-        // exactly to the machine's total cycles.
-        if let Some(before) = activity_before {
-            let delta = ActivitySlice::delta(&before, &self.activity_snapshot());
-            // Shadow-stack events: a link-register write is a call; a
-            // register jump may be a return. `get(rs)` is still the
-            // jump target here — `jr` writes no register and a
-            // linking `jalr` is classified as a call, not a jump.
-            let event = match instr {
-                Instr::Jal { .. } => Some(ControlEvent::Call {
-                    ret: pc.wrapping_add(8),
-                }),
-                Instr::Jalr { rd, .. } if rd != Reg::ZERO => Some(ControlEvent::Call {
-                    ret: pc.wrapping_add(8),
-                }),
-                Instr::Jalr { rs, .. } | Instr::Jr { rs } => Some(ControlEvent::JumpReg {
-                    target: self.get(rs),
-                }),
-                _ => None,
-            };
-            if let Some(p) = self.profiler.as_mut() {
-                p.record(pc, self.cycle - cycle_at_issue, &delta, event);
-            }
-        }
+        instr
     }
 
     /// The fast-engine dispatch loop, bounded by `bound` cycles. Both
@@ -675,7 +622,7 @@ impl Machine {
 
     /// One fast-engine dispatch: a whole basic block (or a branch with
     /// its delay slot) where legal, a single translated op otherwise.
-    /// Mirrors `step` exactly minus the profiler/activity plumbing.
+    /// Mirrors `step` exactly.
     fn step_fast(&mut self, xt: &XTable, max_cycles: u64) {
         let branch_target = self.pending_branch.take();
         let pc = self.pc;
@@ -965,11 +912,12 @@ impl Machine {
         self.ram.write(addr, self.get(m.rt));
     }
 
-    /// The counted memory-system and coprocessor statistics, folded
-    /// into the profiler's [`ActivitySlice`] shape. Purely observational
+    /// The cumulative totals a profiler bills by: cycles, retired
+    /// instructions, and the counted memory-system and coprocessor
+    /// statistics in [`ActivitySlice`] shape. Purely observational
     /// (never advances time), so a profiled run stays bit-identical to
     /// an unprofiled one.
-    fn activity_snapshot(&self) -> ActivitySlice {
+    fn tally(&self) -> Tally {
         let rom = self.rom.stats();
         let ram = self.ram.stats();
         let (ic_accesses, ic_misses, ic_lines) = match &self.icache {
@@ -980,15 +928,19 @@ impl Machine {
             None => (0, 0, 0),
         };
         let cop = self.cop.stats();
-        ActivitySlice {
-            rom_reads: rom.reads,
-            rom_line_reads: rom.line_reads + ic_lines,
-            ram_reads: ram.reads,
-            ram_writes: ram.writes,
-            icache_accesses: ic_accesses,
-            icache_misses: ic_misses,
-            cop_mul_ops: cop.mul_ops,
-            cop_ls_ops: cop.ls_ops,
+        Tally {
+            cycles: self.cycle,
+            instructions: self.counters.instructions,
+            activity: ActivitySlice {
+                rom_reads: rom.reads,
+                rom_line_reads: rom.line_reads + ic_lines,
+                ram_reads: ram.reads,
+                ram_writes: ram.writes,
+                icache_accesses: ic_accesses,
+                icache_misses: ic_misses,
+                cop_mul_ops: cop.mul_ops,
+                cop_ls_ops: cop.ls_ops,
+            },
         }
     }
 
@@ -2005,8 +1957,8 @@ mod tests {
     }
 
     /// `Auto` picks the fast engine on a bare machine and the reference
-    /// engine on a profiled one; forcing Fast on a profiled machine is
-    /// a programming error.
+    /// engine (an exact profile) on a profiled one; forcing Fast on a
+    /// profiled machine takes a sampled profile.
     #[test]
     fn tier_selection_rules() {
         let mut a = Asm::new();
@@ -2029,23 +1981,13 @@ mod tests {
         );
         assert!(profiled.take_profile().is_some());
 
-        let mut profiled = Machine::builder(&p, MachineConfig::baseline())
-            .instrumentation(Instrumentation::profile(&p.text_symbols()))
-            .build();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            profiled.run_with(ExecOptions::new(1000).with_tier(EngineTier::Fast));
-        }));
-        assert!(result.is_err(), "forcing Fast on a profiled machine panics");
-
-        // A sampled profiler does NOT force the reference engine: Auto
-        // still translates and runs fast, and the profile is present.
         let mut sampled = Machine::builder(&p, MachineConfig::baseline())
-            .instrumentation(Instrumentation::sampled_profile(&p.text_symbols(), 64))
+            .instrumentation(Instrumentation::profile(&p.text_symbols()).sample_stride(64))
             .build();
-        sampled.run_with(ExecOptions::new(1000));
+        sampled.run_with(ExecOptions::new(1000).with_tier(EngineTier::Fast));
         assert!(
             sampled.xops.is_some(),
-            "Auto on a sampled machine runs fast"
+            "Fast on a profiled machine runs fast"
         );
         assert!(sampled.take_profile().is_some());
     }
@@ -2086,32 +2028,114 @@ mod tests {
         a.link("main").unwrap()
     }
 
-    /// Sampled profiling is purely observational: the run's counters,
+    /// Profiling is purely observational: the run's counters,
     /// architectural state, and memory statistics are bit-identical to
-    /// an uninstrumented fast run — and the sampled bucket totals equal
-    /// the headline counters exactly, on both tiers.
+    /// an uninstrumented fast run — and the bucket totals equal the
+    /// headline counters exactly, on every tier.
     #[test]
-    fn sampled_profile_is_observational_and_exact() {
+    fn profile_is_observational_and_exact() {
         let p = sampled_fixture();
         let mut plain = Machine::new(&p, MachineConfig::baseline());
         let exit_plain = plain.run_with(ExecOptions::new(1_000_000).with_tier(EngineTier::Fast));
 
         for tier in [EngineTier::Fast, EngineTier::Auto, EngineTier::Reference] {
             let mut m = Machine::builder(&p, MachineConfig::baseline())
-                .instrumentation(Instrumentation::sampled_profile(&p.text_symbols(), 17))
+                .instrumentation(Instrumentation::profile(&p.text_symbols()).sample_stride(17))
                 .build();
             let exit = m.run_with(ExecOptions::new(1_000_000).with_tier(tier));
             assert_eq!(exit, exit_plain, "{tier:?}: exit diverges");
             assert_tiers_equal(&m, &plain);
             let counters = m.counters();
-            let prof = m.take_profile().expect("sampled profile present");
+            let prof = m.take_profile().expect("profile present");
             assert_eq!(prof.total_cycles(), counters.cycles, "{tier:?}");
             assert_eq!(prof.total_instructions(), counters.instructions, "{tier:?}");
-            assert!(prof.calls.nodes.is_empty(), "sampled: no call graph");
+            assert_eq!(
+                prof.calls.nodes.is_empty(),
+                tier == EngineTier::Fast,
+                "{tier:?}: only the sampled profile has no call graph"
+            );
             // With a stride much shorter than the loops, both hot
             // loop routines must show up.
             assert!(prof.find("wloop").unwrap().cycles > 0, "{tier:?}");
             assert!(prof.find("rloop").unwrap().cycles > 0, "{tier:?}");
+        }
+    }
+
+    /// The counted activity of a machine, read from its statistics
+    /// directly (not through the profiler's tally).
+    fn raw_activity(m: &Machine) -> ActivitySlice {
+        let ic = m.icache_stats().unwrap_or_default();
+        ActivitySlice {
+            rom_reads: m.rom_stats().reads,
+            rom_line_reads: m.rom_stats().line_reads,
+            ram_reads: m.ram_stats().reads,
+            ram_writes: m.ram_stats().writes,
+            icache_accesses: ic.accesses,
+            icache_misses: ic.misses,
+            cop_mul_ops: m.cop_stats().mul_ops,
+            cop_ls_ops: m.cop_stats().ls_ops,
+        }
+    }
+
+    fn profile_sums(p: &RoutineProfile) -> (u64, u64, ActivitySlice) {
+        let mut activity = ActivitySlice::default();
+        for r in &p.routines {
+            activity.accumulate(&r.activity);
+        }
+        (p.total_cycles(), p.total_instructions(), activity)
+    }
+
+    /// Interval billing conserves at a cycle limit that falls in the
+    /// middle of a routine, on every tier: the open interval is billed
+    /// when the run stops, so bucket (and, when exact, call-tree) sums
+    /// equal the counters and statistics — also after the run resumes
+    /// to the end.
+    #[test]
+    fn profile_conserves_at_a_mid_routine_cycle_limit() {
+        let p = sampled_fixture();
+        let cfg = MachineConfig::isa_ext_with_cache(CacheConfig::real(64, true));
+        let mut plain = Machine::new(&p, cfg);
+        plain.run_with(ExecOptions::new(1_000_000));
+        let total = plain.cycles();
+        for tier in [EngineTier::Fast, EngineTier::Auto, EngineTier::Reference] {
+            let mut mid_routine = 0;
+            for limit in (total / 5..total * 4 / 5).step_by(37) {
+                let mut m = Machine::builder(&p, cfg)
+                    .instrumentation(Instrumentation::profile(&p.text_symbols()).sample_stride(17))
+                    .build();
+                let exit = m.run_with(ExecOptions::new(limit).with_tier(tier));
+                assert_eq!(exit, RunExit::CycleLimit, "{tier:?} @ {limit}");
+                if p.text_symbols().iter().all(|&(start, _)| start != m.pc) {
+                    mid_routine += 1;
+                }
+                let profiler = m.profiler.take().expect("profile attached");
+                let prof = profiler.clone().finish();
+                let (cycles, instructions, activity) = profile_sums(&prof);
+                assert_eq!(cycles, m.counters().cycles, "{tier:?} @ {limit}");
+                assert_eq!(
+                    instructions,
+                    m.counters().instructions,
+                    "{tier:?} @ {limit}"
+                );
+                assert_eq!(activity, raw_activity(&m), "{tier:?} @ {limit}");
+                if tier != EngineTier::Fast {
+                    assert_eq!(prof.calls.total_cycles(), cycles, "{tier:?} @ {limit}");
+                    assert_eq!(prof.calls.root_inclusive_cycles(), cycles);
+                }
+                // Resume to the end: the totals keep conserving.
+                m.profiler = Some(profiler);
+                let exit = m.run_with(ExecOptions::new(1_000_000).with_tier(tier));
+                assert_eq!(exit, RunExit::Halted { code: 0 }, "{tier:?} @ {limit}");
+                let prof = m.take_profile().unwrap();
+                let (cycles, instructions, activity) = profile_sums(&prof);
+                assert_eq!(cycles, m.counters().cycles, "{tier:?} @ {limit}");
+                assert_eq!(instructions, m.counters().instructions);
+                assert_eq!(activity, raw_activity(&m), "{tier:?} @ {limit}");
+            }
+            assert!(
+                mid_routine >= 3,
+                "{tier:?}: {mid_routine} mid-routine stops"
+            );
         }
     }
 
@@ -2128,9 +2152,9 @@ mod tests {
         let exact = reference.take_profile().unwrap();
 
         let mut m = Machine::builder(&p, MachineConfig::baseline())
-            .instrumentation(Instrumentation::sampled_profile(&p.text_symbols(), 17))
+            .instrumentation(Instrumentation::profile(&p.text_symbols()).sample_stride(17))
             .build();
-        m.run_with(ExecOptions::new(1_000_000));
+        m.run_with(ExecOptions::new(1_000_000).with_tier(EngineTier::Fast));
         let sampled = m.take_profile().unwrap();
 
         // Same bucket table, same totals.

@@ -90,7 +90,7 @@ impl CacheConfig {
             size_bytes: 4 * 1024,
             prefetch: false,
             ideal: false,
-            miss_penalty: 3,
+            miss_penalty: DEFAULT_MISS_PENALTY,
         }
     }
 
@@ -101,7 +101,7 @@ impl CacheConfig {
             size_bytes,
             prefetch,
             ideal: false,
-            miss_penalty: 3,
+            miss_penalty: DEFAULT_MISS_PENALTY,
         }
     }
 
@@ -111,7 +111,7 @@ impl CacheConfig {
             size_bytes: 4 * 1024,
             prefetch: false,
             ideal: true,
-            miss_penalty: 3,
+            miss_penalty: DEFAULT_MISS_PENALTY,
         }
     }
 
@@ -120,6 +120,10 @@ impl CacheConfig {
         (self.size_bytes / LINE_BYTES) as usize
     }
 }
+
+/// Miss penalty of the study's caches, in cycles (128-bit ROM port,
+/// §7.5); every constructor uses it.
+pub const DEFAULT_MISS_PENALTY: u32 = 3;
 
 /// Line size in bytes (four 32-bit instructions, §5.3.1).
 pub const LINE_BYTES: u32 = 16;

@@ -46,5 +46,6 @@ pub use cpu::{
 };
 pub use icache::{CacheConfig, CacheStats};
 pub use profile::{
-    ActivitySlice, CallGraph, CallNode, ControlEvent, PcProfiler, RoutineCycles, RoutineProfile,
+    ActivitySlice, CallGraph, CallNode, ControlEvent, Profiler, RoutineCycles, RoutineProfile,
+    Tally,
 };

@@ -109,11 +109,6 @@ impl Rom {
     pub fn stats(&self) -> MemStats {
         self.stats
     }
-
-    /// Resets the counters (e.g. to exclude warm-up).
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-    }
 }
 
 /// The data RAM.
@@ -211,11 +206,6 @@ impl Ram {
     pub fn count_external(&mut self, reads: u64, writes: u64) {
         self.stats.reads += reads;
         self.stats.writes += writes;
-    }
-
-    /// Resets the counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
     }
 
     fn index(&self, addr: u32) -> usize {

@@ -3,10 +3,10 @@
 //!
 //! The assembler already knows every routine's start address
 //! (`Program::text_symbols`), so profiling needs no instrumentation in
-//! the software suite: when enabled, [`Machine::step`] records the
-//! cycle delta of each retired instruction into the bucket owning its
-//! PC (binary search over sorted routine starts). Because `cycle` only
-//! advances inside `step`, the bucket totals sum *exactly* to the
+//! the software suite: when enabled, the machine bills what it counted
+//! between two boundaries to the bucket owning the PC range (see
+//! [`Profiler`] for where each engine tier puts the boundaries). The
+//! intervals telescope, so the bucket totals sum *exactly* to the
 //! machine's total cycles — the invariant the attribution test pins.
 //!
 //! On top of the flat buckets, the profiler maintains a **shadow call
@@ -33,12 +33,11 @@
 //! growing a chain, exactly like a collapsed flamegraph.
 //!
 //! Each bucket and each call-tree node also carries an
-//! [`ActivitySlice`] of memory-system and coprocessor counters, deltaed
-//! per retired instruction in `step`. All *counted* traffic happens
-//! inside `step` (harness `poke`/`peek` are uncounted by design), so
-//! the per-routine slices sum exactly to the run's `RawStats`.
-//!
-//! [`Machine::step`]: crate::cpu::Machine::step
+//! [`ActivitySlice`] of memory-system and coprocessor counters, billed
+//! with the same intervals. All *counted* traffic happens while
+//! instructions retire (harness `poke`/`peek` are uncounted by
+//! design), so the per-routine slices sum exactly to the run's
+//! `RawStats`.
 
 use std::collections::HashMap;
 
@@ -51,7 +50,7 @@ pub const ROOT: u32 = u32::MAX;
 const MAX_SHADOW_DEPTH: usize = 512;
 
 /// Memory-system and coprocessor activity attributed to one routine or
-/// call-tree node (the per-instruction delta of the machine's counted
+/// call-tree node (the interval delta of the machine's counted
 /// statistics).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ActivitySlice {
@@ -101,7 +100,7 @@ impl ActivitySlice {
         self.cop_ls_ops += cop_ls_ops;
     }
 
-    /// The per-instruction delta between two monotonic snapshots.
+    /// The delta between two monotonic snapshots.
     pub fn delta(before: &ActivitySlice, after: &ActivitySlice) -> ActivitySlice {
         let ActivitySlice {
             rom_reads,
@@ -384,60 +383,100 @@ impl RoutineProfile {
     }
 }
 
-/// Default *mean* sampling stride for [`SampledProfiler`], in cycles
+/// Default *mean* stride of the sampled schedule, in cycles
 /// (individual intervals are jittered over `[stride/2, 3*stride/2)` —
-/// see [`SampledProfiler::sample`]). 251 is the sparsest scanned
-/// stride at which the sampled top-5 routine shares of both the P-192
-/// and P-256 baseline sign profiles stay within 10% relative of the
-/// reference profiler, in reference order (the sim and the jitter are
-/// deterministic, so this is a reproducible property of the programs,
-/// not a statistical one); at sparser strides the third and fourth
-/// routines, whose true shares differ by only ~7%, start swapping.
+/// see [`Profiler::sample`]). 251 is the sparsest scanned stride at
+/// which the sampled top-5 routine shares of both the P-192 and P-256
+/// baseline sign profiles stay within 10% relative of the exact
+/// profile, in exact order (the sim and the jitter are deterministic,
+/// so this is a reproducible property of the programs, not a
+/// statistical one); at sparser strides the third and fourth routines,
+/// whose true shares differ by only ~7%, start swapping.
 pub const DEFAULT_SAMPLE_STRIDE: u64 = 251;
 
-/// The sampled profiler attached to a fast-tier
-/// [`Machine`](crate::cpu::Machine) run.
+/// The machine's cumulative counted totals at a boundary: what an
+/// interval bills is the difference between two tallies.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Elapsed cycles.
+    pub cycles: u64,
+    /// Retired instructions.
+    pub instructions: u64,
+    /// Counted memory-system and coprocessor activity.
+    pub activity: ActivitySlice,
+}
+
+/// A live shadow-stack frame: where to return to, and which node the
+/// call was made from.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    ret: u32,
+    caller: u32,
+}
+
+/// The per-routine profiler attached to a
+/// [`Machine`](crate::cpu::Machine).
 ///
-/// Where [`PcProfiler`] observes every retired instruction (and so only
-/// works on the reference interpreter), this one observes the run at
-/// **block boundaries**: whenever the retired-cycle count crosses the
-/// next stride threshold, the *entire* delta since the previous sample
-/// — cycles, instructions, and counted activity — is billed to the
-/// routine owning the PC at that boundary. The intervals telescope, so
-/// bucket totals still sum bit-exactly to the machine's headline
-/// counters (the invariant every attribution consumer relies on);
-/// what's approximate is only the *split* between routines, with error
-/// bounded by the stride (see DESIGN.md §11).
+/// It is billed by **interval**: at each boundary, everything counted
+/// since the previous boundary — cycles, instructions and
+/// [`ActivitySlice`] — goes to one routine bucket, and, when the
+/// profile is exact, to one call-tree node. Intervals telescope, so
+/// bucket totals equal the machine's headline counters whatever the
+/// boundaries. The engine tier places them:
 ///
-/// No shadow call stack is maintained — the fast engine never sees
-/// individual link instructions — so [`SampledProfiler::finish`]
-/// yields a profile with an empty [`CallGraph`].
+/// * **reference tier, exact profile** ([`Profiler::enter`] /
+///   [`Profiler::boundary`]): an interval runs while the PC stays in
+///   one routine's range and ends early after a retired `jal`, linking
+///   `jalr` or register jump. Those are the only points where the
+///   bucket or the call-tree node can change, so every bucket and node
+///   gets exactly what billing each retired instruction would give it.
+/// * **fast tier, sampled profile** ([`Profiler::sample`] /
+///   [`Profiler::flush`]): an interval ends at the first block boundary
+///   past a jittered stride threshold and is billed to the routine
+///   owning the PC there. The split between routines is approximate
+///   (bounded by the stride, DESIGN.md §11) and there is no call tree:
+///   a profile with any sampled interval finishes with an empty
+///   [`CallGraph`].
 #[derive(Clone, Debug)]
-pub struct SampledProfiler {
+pub struct Profiler {
     /// Sorted bucket start addresses (parallel to `buckets`).
     starts: Vec<u32>,
     buckets: Vec<RoutineCycles>,
-    /// Sampling stride in cycles.
-    stride: u64,
-    /// Next cycle threshold at which a sample is due.
-    next_sample: u64,
-    /// Snapshot at the previous sample (start of the open interval).
-    last_cycle: u64,
-    last_instructions: u64,
-    last_activity: ActivitySlice,
-    /// Number of samples taken (incl. the final flush).
-    samples: u64,
-    /// `(index, start, end)` of the previously hit bucket. Samples
-    /// cluster in the hot field-op routines, so most lookups resolve
-    /// with one range check instead of a binary search.
+    /// Call-tree nodes (creation-ordered).
+    nodes: Vec<CallNode>,
+    /// `(parent, routine) -> node id` lookup, consulted only at
+    /// boundaries.
+    children: HashMap<(u32, u32), u32>,
+    /// The shadow call stack.
+    stack: Vec<Frame>,
+    /// The node calls are currently made from ([`ROOT`] at top level).
+    context: u32,
+    /// Bucket index of the open exact interval (`usize::MAX` before
+    /// the first).
+    cur_routine: usize,
+    /// The node the open exact interval bills.
+    cur_node: u32,
+    /// Totals at the previous boundary (start of the open interval).
+    last: Tally,
+    /// `(index, start, last pc)` of the previously looked-up bucket.
+    /// Boundaries cluster in the hot field-op routines, so most lookups
+    /// resolve with one range check instead of a binary search.
     cached: (usize, u32, u32),
+    /// Mean stride of the sampled schedule, in cycles.
+    stride: u64,
+    /// Cycle at which the next sampled boundary is due.
+    next_sample: u64,
     /// Deterministic jitter state (splitmix64), advanced per sample.
     jitter: u64,
+    /// Whether any interval was billed by the sampled schedule.
+    sampled: bool,
 }
 
-impl SampledProfiler {
-    /// Builds buckets from `Program::text_symbols` output, exactly like
-    /// [`PcProfiler::new`], with the given stride in cycles.
+impl Profiler {
+    /// Builds buckets from `Program::text_symbols` output (sorted,
+    /// alias-merged `(start, name)` pairs), with the given mean stride
+    /// (in cycles) for sampled boundaries. A synthetic `(prelude)`
+    /// bucket covers any code before the first label.
     pub fn new(text_symbols: &[(u32, String)], stride: u64) -> Self {
         assert!(stride > 0, "sample stride must be positive");
         let mut buckets = Vec::with_capacity(text_symbols.len() + 1);
@@ -460,162 +499,7 @@ impl SampledProfiler {
             });
         }
         let starts = buckets.iter().map(|b| b.start).collect();
-        SampledProfiler {
-            starts,
-            buckets,
-            stride,
-            next_sample: stride,
-            last_cycle: 0,
-            last_instructions: 0,
-            last_activity: ActivitySlice::default(),
-            samples: 0,
-            cached: (0, 0, 0),
-            jitter: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    /// Whether the retired-cycle count has crossed the next stride
-    /// threshold, i.e. a sample is due at this block boundary.
-    #[inline]
-    pub fn due(&self, cycle: u64) -> bool {
-        cycle >= self.next_sample
-    }
-
-    /// The cycle at which the next sample is due. Dispatch loops hoist
-    /// this into a local so the per-block check costs one compare on a
-    /// register instead of a heap load.
-    #[inline]
-    pub fn next_sample_at(&self) -> u64 {
-        self.next_sample
-    }
-
-    /// Takes a sample at a block boundary: bills the whole interval
-    /// since the previous sample to the routine owning `pc`, then arms
-    /// the next threshold past `cycle`.
-    ///
-    /// The next interval is jittered deterministically (splitmix64)
-    /// over `[stride/2, 3*stride/2)` — mean `stride` — so sample
-    /// points cannot phase-lock onto *any* loop period. The field ops
-    /// are fixed-length loops whose periods vary per curve; a fixed
-    /// stride resonates with some of them and systematically over- or
-    /// under-bills whichever routine the boundary keeps landing after.
-    pub fn sample(&mut self, pc: u32, cycle: u64, instructions: u64, activity: &ActivitySlice) {
-        self.attribute(pc, cycle, instructions, activity);
-        self.jitter = self.jitter.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.jitter;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        self.next_sample = cycle + self.stride / 2 + z % self.stride;
-    }
-
-    /// Flushes the final partial interval at run end so totals stay
-    /// exact. Idempotent for an unchanged machine state (a zero-length
-    /// interval adds nothing but still counts as a sample).
-    pub fn flush(&mut self, pc: u32, cycle: u64, instructions: u64, activity: &ActivitySlice) {
-        self.attribute(pc, cycle, instructions, activity);
-    }
-
-    fn attribute(&mut self, pc: u32, cycle: u64, instructions: u64, activity: &ActivitySlice) {
-        let (ci, cs, ce) = self.cached;
-        let idx = if pc >= cs && pc < ce {
-            ci
-        } else {
-            let i = match self.starts.binary_search(&pc) {
-                Ok(i) => i,
-                Err(i) => i - 1, // starts[0] == 0 covers every pc
-            };
-            let end = self.starts.get(i + 1).copied().unwrap_or(u32::MAX);
-            self.cached = (i, self.starts[i], end);
-            i
-        };
-        let b = &mut self.buckets[idx];
-        b.cycles += cycle - self.last_cycle;
-        b.instructions += instructions - self.last_instructions;
-        b.activity
-            .accumulate(&ActivitySlice::delta(&self.last_activity, activity));
-        self.last_cycle = cycle;
-        self.last_instructions = instructions;
-        self.last_activity = *activity;
-        self.samples += 1;
-    }
-
-    /// Number of samples taken so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// The stride this profiler was built with.
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
-    /// Finishes the run, yielding the per-routine breakdown (flat
-    /// buckets only; the call graph is empty).
-    pub fn finish(self) -> RoutineProfile {
-        RoutineProfile {
-            routines: self.buckets,
-            calls: CallGraph::default(),
-        }
-    }
-}
-
-/// A live shadow-stack frame: where to return to, and which node the
-/// call was made from.
-#[derive(Clone, Copy, Debug)]
-struct Frame {
-    ret: u32,
-    caller: u32,
-}
-
-/// The live profiler attached to a [`Machine`](crate::cpu::Machine).
-#[derive(Clone, Debug)]
-pub struct PcProfiler {
-    /// Sorted bucket start addresses (parallel to `buckets`).
-    starts: Vec<u32>,
-    buckets: Vec<RoutineCycles>,
-    /// Call-tree nodes (creation-ordered).
-    nodes: Vec<CallNode>,
-    /// `(parent, routine) -> node id` lookup, consulted only on
-    /// call/return/leaf transitions, not per retired instruction.
-    children: HashMap<(u32, u32), u32>,
-    /// The shadow call stack.
-    stack: Vec<Frame>,
-    /// The node calls are currently made from ([`ROOT`] at top level).
-    context: u32,
-    /// Bucket index of the previous instruction (`usize::MAX` before
-    /// the first), so the common straight-line case skips node lookup.
-    cur_routine: usize,
-    /// The node currently accumulating exclusive counters.
-    cur_node: u32,
-}
-
-impl PcProfiler {
-    /// Builds buckets from `Program::text_symbols` output (sorted,
-    /// alias-merged `(start, name)` pairs). A synthetic `(prelude)`
-    /// bucket covers any code before the first label.
-    pub fn new(text_symbols: &[(u32, String)]) -> Self {
-        let mut buckets = Vec::with_capacity(text_symbols.len() + 1);
-        if text_symbols.first().is_none_or(|&(a, _)| a != 0) {
-            buckets.push(RoutineCycles {
-                name: "(prelude)".to_owned(),
-                start: 0,
-                instructions: 0,
-                cycles: 0,
-                activity: ActivitySlice::default(),
-            });
-        }
-        for (start, name) in text_symbols {
-            buckets.push(RoutineCycles {
-                name: name.clone(),
-                start: *start,
-                instructions: 0,
-                cycles: 0,
-                activity: ActivitySlice::default(),
-            });
-        }
-        let starts = buckets.iter().map(|b| b.start).collect();
-        PcProfiler {
+        Profiler {
             starts,
             buckets,
             nodes: Vec::new(),
@@ -624,7 +508,28 @@ impl PcProfiler {
             context: ROOT,
             cur_routine: usize::MAX,
             cur_node: ROOT,
+            last: Tally::default(),
+            cached: (0, 0, 0),
+            stride,
+            next_sample: stride,
+            jitter: 0x9e37_79b9_7f4a_7c15,
+            sampled: false,
         }
+    }
+
+    /// The bucket owning `pc`, with its inclusive PC range.
+    fn routine_at(&mut self, pc: u32) -> (usize, u32, u32) {
+        let (_, start, last) = self.cached;
+        if (start..=last).contains(&pc) {
+            return self.cached;
+        }
+        let i = match self.starts.binary_search(&pc) {
+            Ok(i) => i,
+            Err(i) => i - 1, // starts[0] == 0 covers every pc
+        };
+        let last = self.starts.get(i + 1).map_or(u32::MAX, |&s| s - 1);
+        self.cached = (i, self.starts[i], last);
+        self.cached
     }
 
     /// The node for `routine` under `context`, folding into `context`
@@ -651,35 +556,44 @@ impl PcProfiler {
         }
     }
 
-    /// Attributes one retired instruction: its cycle delta and counted
-    /// activity go to the bucket owning `pc` and to the current
-    /// call-tree node, then `event` advances the shadow stack.
-    #[inline]
-    pub fn record(
-        &mut self,
-        pc: u32,
-        cycles: u64,
-        activity: &ActivitySlice,
-        event: Option<ControlEvent>,
-    ) {
-        let idx = match self.starts.binary_search(&pc) {
-            Ok(i) => i,
-            Err(i) => i - 1, // starts[0] == 0 covers every pc
-        };
-        let b = &mut self.buckets[idx];
-        b.instructions += 1;
+    /// The one billing step: everything counted between the previous
+    /// boundary and `now` goes to bucket `routine` and, for an exact
+    /// interval, to call-tree node `node`.
+    fn bill(&mut self, routine: usize, node: Option<u32>, now: &Tally) {
+        let cycles = now.cycles - self.last.cycles;
+        let instructions = now.instructions - self.last.instructions;
+        let activity = ActivitySlice::delta(&self.last.activity, &now.activity);
+        let b = &mut self.buckets[routine];
         b.cycles += cycles;
-        b.activity.accumulate(activity);
+        b.instructions += instructions;
+        b.activity.accumulate(&activity);
+        if let Some(n) = node {
+            let n = &mut self.nodes[n as usize];
+            n.cycles += cycles;
+            n.instructions += instructions;
+            n.activity.accumulate(&activity);
+        }
+        self.last = *now;
+    }
 
+    /// Opens an exact interval whose first instruction is at `pc` and
+    /// returns the inclusive PC range it may run in: the interval must
+    /// end ([`Profiler::boundary`]) before an instruction outside the
+    /// range retires.
+    pub fn enter(&mut self, pc: u32) -> (u32, u32) {
+        let (idx, start, last) = self.routine_at(pc);
         if idx != self.cur_routine {
             self.cur_routine = idx;
             self.cur_node = self.node_for(self.context, idx as u32);
         }
-        let n = &mut self.nodes[self.cur_node as usize];
-        n.instructions += 1;
-        n.cycles += cycles;
-        n.activity.accumulate(activity);
+        (start, last)
+    }
 
+    /// Closes the open exact interval at `now`, billing its routine and
+    /// call-tree node, then lets `event` — the control event retired
+    /// last, if any — advance the shadow call stack.
+    pub fn boundary(&mut self, now: &Tally, event: Option<ControlEvent>) {
+        self.bill(self.cur_routine, Some(self.cur_node), now);
         match event {
             Some(ControlEvent::Call { ret }) if self.stack.len() < MAX_SHADOW_DEPTH => {
                 self.stack.push(Frame {
@@ -706,11 +620,48 @@ impl PcProfiler {
         }
     }
 
-    /// Finishes the run, yielding the per-routine breakdown.
+    /// The cycle at which the next sampled boundary is due. Dispatch
+    /// loops bound their span by it.
+    #[inline]
+    pub fn next_sample_at(&self) -> u64 {
+        self.next_sample
+    }
+
+    /// A sampled boundary: bills the interval since the previous
+    /// boundary to the routine owning `pc`, then arms the next
+    /// threshold past `now`.
+    ///
+    /// The next interval is jittered deterministically (splitmix64)
+    /// over `[stride/2, 3*stride/2)` — mean `stride` — so sample
+    /// points cannot phase-lock onto *any* loop period. The field ops
+    /// are fixed-length loops whose periods vary per curve; a fixed
+    /// stride resonates with some of them and systematically over- or
+    /// under-bills whichever routine the boundary keeps landing after.
+    pub fn sample(&mut self, pc: u32, now: &Tally) {
+        self.flush(pc, now);
+        self.jitter = self.jitter.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.jitter;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        self.next_sample = now.cycles + self.stride / 2 + z % self.stride;
+    }
+
+    /// Bills the final partial sampled interval at the end of a
+    /// fast-tier run to the routine owning `pc`, so totals stay exact.
+    pub fn flush(&mut self, pc: u32, now: &Tally) {
+        let (idx, _, _) = self.routine_at(pc);
+        self.bill(idx, None, now);
+        self.sampled = true;
+    }
+
+    /// Finishes the run, yielding the per-routine breakdown. The call
+    /// graph is empty if any interval was sampled.
     pub fn finish(self) -> RoutineProfile {
+        let nodes = if self.sampled { Vec::new() } else { self.nodes };
         RoutineProfile {
             routines: self.buckets,
-            calls: CallGraph { nodes: self.nodes },
+            calls: CallGraph { nodes },
         }
     }
 }
@@ -730,9 +681,69 @@ mod tests {
         }
     }
 
+    fn tally(cycles: u64, instructions: u64, activity: ActivitySlice) -> Tally {
+        Tally {
+            cycles,
+            instructions,
+            activity,
+        }
+    }
+
+    /// Drives a [`Profiler`] the way the reference tier does, one
+    /// retired instruction at a time: an exact interval stays open
+    /// while the PC stays in the entered routine's range and closes
+    /// after every control event.
+    struct Retire {
+        p: Profiler,
+        now: Tally,
+        open: Option<(u32, u32)>,
+    }
+
+    impl Retire {
+        fn new(text_symbols: &[(u32, String)]) -> Self {
+            Retire {
+                p: Profiler::new(text_symbols, DEFAULT_SAMPLE_STRIDE),
+                now: Tally::default(),
+                open: None,
+            }
+        }
+
+        fn record(
+            &mut self,
+            pc: u32,
+            cycles: u64,
+            activity: &ActivitySlice,
+            event: Option<ControlEvent>,
+        ) {
+            if let Some((start, last)) = self.open {
+                if !(start..=last).contains(&pc) {
+                    self.p.boundary(&self.now, None);
+                    self.open = None;
+                }
+            }
+            if self.open.is_none() {
+                self.open = Some(self.p.enter(pc));
+            }
+            self.now.cycles += cycles;
+            self.now.instructions += 1;
+            self.now.activity.accumulate(activity);
+            if event.is_some() {
+                self.p.boundary(&self.now, event);
+                self.open = None;
+            }
+        }
+
+        fn finish(mut self) -> RoutineProfile {
+            if self.open.is_some() {
+                self.p.boundary(&self.now, None);
+            }
+            self.p.finish()
+        }
+    }
+
     #[test]
     fn attribution_covers_prelude_and_boundaries() {
-        let mut p = PcProfiler::new(&syms());
+        let mut p = Retire::new(&syms());
         p.record(0x0, 3, &act(1), None); // prelude
         p.record(0x10, 2, &act(0), None); // first instr of a
         p.record(0x3c, 1, &act(2), None); // last instr of a
@@ -755,7 +766,7 @@ mod tests {
 
     #[test]
     fn no_prelude_bucket_when_label_at_zero() {
-        let mut p = PcProfiler::new(&[(0, "start".to_owned())]);
+        let mut p = Retire::new(&[(0, "start".to_owned())]);
         p.record(0, 1, &act(0), None);
         let prof = p.finish();
         assert_eq!(prof.routines.len(), 1);
@@ -765,10 +776,10 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let mut a = RoutineProfile::default();
-        let mut p = PcProfiler::new(&syms());
+        let mut p = Retire::new(&syms());
         p.record(0x10, 2, &act(1), None);
         a.merge(&p.finish());
-        let mut p = PcProfiler::new(&syms());
+        let mut p = Retire::new(&syms());
         p.record(0x10, 3, &act(1), None);
         p.record(0x40, 4, &act(0), None);
         a.merge(&p.finish());
@@ -790,7 +801,7 @@ mod tests {
             (0x40, "a".to_owned()),
             (0x80, "b".to_owned()),
         ];
-        let mut p = PcProfiler::new(&syms);
+        let mut p = Retire::new(&syms);
         let a0 = act(0);
         // main: jal a (ret 0x10), delay slot, then a runs.
         p.record(0x08, 1, &a0, Some(ControlEvent::Call { ret: 0x10 }));
@@ -839,7 +850,7 @@ mod tests {
     #[test]
     fn direct_recursion_folds() {
         let syms = vec![(0x00, "main".to_owned()), (0x40, "f".to_owned())];
-        let mut p = PcProfiler::new(&syms);
+        let mut p = Retire::new(&syms);
         let a0 = act(0);
         p.record(0x00, 1, &a0, Some(ControlEvent::Call { ret: 0x08 }));
         // f calls itself twice from the same site (ret 0x50 both times).
@@ -870,7 +881,7 @@ mod tests {
             (0x40, "a".to_owned()),
             (0x80, "c".to_owned()),
         ];
-        let mut p = PcProfiler::new(&syms);
+        let mut p = Retire::new(&syms);
         let a0 = act(0);
         p.record(0x00, 1, &a0, Some(ControlEvent::Call { ret: 0x08 }));
         p.record(0x40, 2, &a0, None); // a body
@@ -902,22 +913,18 @@ mod tests {
     /// exactly.
     #[test]
     fn sampled_intervals_telescope_to_exact_totals() {
-        let mut p = SampledProfiler::new(&syms(), 10);
-        assert!(!p.due(9));
-        assert!(p.due(10));
+        let mut p = Profiler::new(&syms(), 10);
+        assert_eq!(p.next_sample_at(), 10);
         // First interval [0, 13) lands on a PC in routine `a`.
-        p.sample(0x14, 13, 4, &act(2));
-        assert_eq!(p.samples(), 1);
+        p.sample(0x14, &tally(13, 4, act(2)));
         // Threshold re-arms past the sample point, jittered over
         // [cycle + stride/2, cycle + 3*stride/2).
         let next = p.next_sample_at();
         assert!((13 + 5..13 + 15).contains(&next), "next = {next}");
-        assert!(!p.due(next - 1));
-        assert!(p.due(next));
         // Second interval [13, 27) lands in `b/c`.
-        p.sample(0x44, 27, 9, &act(5));
+        p.sample(0x44, &tally(27, 9, act(5)));
         // Final partial interval [27, 31) flushed into the prelude.
-        p.flush(0x0, 31, 11, &act(6));
+        p.flush(0x0, &tally(31, 11, act(6)));
         let prof = p.finish();
         assert_eq!(prof.total_cycles(), 31);
         assert_eq!(prof.total_instructions(), 11);
@@ -927,8 +934,8 @@ mod tests {
         assert_eq!(prof.routine("b/c").unwrap().activity.ram_reads, 3);
         assert_eq!(prof.routine("(prelude)").unwrap().cycles, 4);
         assert!(prof.calls.nodes.is_empty());
-        // Same bucket table shape as the reference profiler, so merge
-        // against a reference profile would be well-formed.
+        // Same bucket table shape as an exact profile, so merging the
+        // two would be well-formed.
         assert_eq!(prof.routines.len(), 3);
     }
 
@@ -937,25 +944,37 @@ mod tests {
     /// multiple merely >= the old threshold.
     #[test]
     fn sampled_stride_skips_over_long_blocks() {
-        let mut p = SampledProfiler::new(&syms(), 10);
-        p.sample(0x10, 57, 1, &act(0));
+        let mut p = Profiler::new(&syms(), 10);
+        p.sample(0x10, &tally(57, 1, act(0)));
         let next = p.next_sample_at();
         assert!((57 + 5..57 + 15).contains(&next), "next = {next}");
-        assert!(!p.due(next - 1));
-        assert!(p.due(next));
     }
 
     /// The jittered schedule is deterministic: two profilers over the
     /// same run take identical samples.
     #[test]
     fn sampled_schedule_is_deterministic() {
-        let mut a = SampledProfiler::new(&syms(), 10);
-        let mut b = SampledProfiler::new(&syms(), 10);
+        let mut a = Profiler::new(&syms(), 10);
+        let mut b = Profiler::new(&syms(), 10);
         for i in 0..100u64 {
-            a.sample(0x10, i * 13, i, &act(0));
-            b.sample(0x10, i * 13, i, &act(0));
+            a.sample(0x10, &tally(i * 13, i, act(0)));
+            b.sample(0x10, &tally(i * 13, i, act(0)));
             assert_eq!(a.next_sample_at(), b.next_sample_at());
         }
+    }
+
+    /// A sampled interval after exact ones drops the partial call tree:
+    /// a profile's call graph is either exact or empty.
+    #[test]
+    fn any_sampled_interval_empties_the_call_graph() {
+        let mut p = Profiler::new(&syms(), 10);
+        p.enter(0x10);
+        p.boundary(&tally(3, 2, act(0)), None);
+        p.flush(0x40, &tally(5, 3, act(1)));
+        let prof = p.finish();
+        assert_eq!(prof.routine("a").unwrap().cycles, 3);
+        assert_eq!(prof.routine("b/c").unwrap().cycles, 2);
+        assert!(prof.calls.nodes.is_empty());
     }
 
     #[test]
@@ -965,7 +984,7 @@ mod tests {
             (0x40, "aa".to_owned()),
             (0x80, "mm".to_owned()),
         ];
-        let mut p = PcProfiler::new(&syms);
+        let mut p = Retire::new(&syms);
         p.record(0x00, 5, &act(0), None);
         p.record(0x40, 5, &act(0), None);
         p.record(0x80, 9, &act(0), None);
